@@ -92,9 +92,9 @@ class Dataset:
         y = np.asarray(self.y)
         if y.shape != (n,):
             raise ValueError(f"y must have shape ({n},), got {y.shape}")
-        y = y.astype(np.int64)
         if not np.all((y == 0) | (y == 1)):
             raise ValueError("labels must be 0 or 1")
+        y = y.astype(np.int64)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "n1", int(y.sum()))
@@ -126,11 +126,6 @@ class Coefficients:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
 
-    @property
-    def dim(self) -> int:
-        """Length of the full vector, 1 + len(beta)."""
-        return 1 + self.beta.shape[0]
-
     def as_vector(self) -> np.ndarray:
         return np.concatenate(([self.alpha], self.beta))
 
@@ -138,10 +133,6 @@ class Coefficients:
     def from_vector(cls, theta: np.ndarray) -> "Coefficients":
         theta = np.asarray(theta, dtype=np.float64)
         return cls(alpha=float(theta[0]), beta=theta[1:])
-
-    @classmethod
-    def zeros(cls, d: int) -> "Coefficients":
-        return cls(alpha=0.0, beta=np.zeros(d))
 
 
 @dataclass(frozen=True)
@@ -179,12 +170,6 @@ class FitResult:
     neg_hessian: np.ndarray
 
 
-def _augment(x: np.ndarray) -> np.ndarray:
-    """Prepend the intercept column: z = (1, x')'."""
-    n = x.shape[0]
-    return np.hstack([np.ones((n, 1)), x])
-
-
 def _check_weights(data: Dataset, weights: np.ndarray) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (data.n,):
@@ -220,48 +205,67 @@ def predict_prob(theta: Coefficients, x_row: np.ndarray) -> float:
     return float(expit(theta.alpha + x_row @ theta.beta))
 
 
-def _loglik_terms(z: np.ndarray, y: np.ndarray, theta_vec: np.ndarray) -> np.ndarray:
-    eta = z @ theta_vec
-    # log(1 + e^t) as max(t, 0) + log1p(e^-|t|)
-    return y * eta - np.logaddexp(0.0, eta)
+class _Kernel:
+    """The weighted log-likelihood of one problem, evaluated in place.
+
+    The design is held once as z' = [1; x'], the (1 + d) x n layout BLAS
+    wants, next to fixed row buffers, so an evaluation allocates nothing
+    of length n.  Each theta costs one exp per row: with eta = z'theta and
+    e = exp(-|eta|), log(1 + e^eta) = max(eta, 0) + log1p(e), p = e/(1 + e)
+    or 1 - e/(1 + e) by the sign of eta, and p(1 - p) = e/(1 + e)^2.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, w: np.ndarray) -> None:
+        self.zt = np.vstack((np.ones(x.shape[0]), x.T))
+        self.zv = np.empty_like(self.zt)
+        self.w, self.wy = w, w * y
+        self.eta, self.e, self.p, self.phi = np.empty((4, x.shape[0]))
+
+    def objective(self, theta_vec: np.ndarray) -> float:
+        """Objective at theta; keeps its eta and e for derivatives()."""
+        eta, e, tmp = self.eta, self.e, self.p  # p is free until derivatives()
+        np.matmul(theta_vec, self.zt, out=eta)
+        np.exp(np.negative(np.abs(eta, out=e), out=e), out=e)
+        np.add(np.maximum(eta, 0.0, out=tmp), np.log1p(e, out=self.phi), out=tmp)
+        return float(self.wy @ eta - self.w @ tmp)
+
+    def derivatives(self) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and negative Hessian at the last theta given to objective."""
+        e, p, phi = self.e, self.p, self.phi
+        np.add(1.0, e, out=phi)
+        np.divide(e, phi, out=p)  # e/(1 + e)
+        np.divide(p, phi, out=phi)  # e/(1 + e)^2 = p(1 - p)
+        np.subtract(1.0, p, out=p, where=self.eta >= 0.0)  # p = 1 - e/(1 + e)
+        np.subtract(self.wy, np.multiply(self.w, p, out=p), out=p)  # w(y - p)
+        np.multiply(self.zt, np.multiply(self.w, phi, out=phi), out=self.zv)
+        h = self.zv @ self.zt.T
+        return self.zt @ p, 0.5 * (h + h.T)
+
+
+def _evaluated(data: Dataset, weights: np.ndarray, theta: Coefficients) -> tuple:
+    kernel = _Kernel(data.x, data.y, _check_weights(data, weights))
+    return kernel, kernel.objective(_check_theta(data, theta))
 
 
 def log_likelihood(data: Dataset, weights: np.ndarray, theta: Coefficients) -> float:
     """Weighted log-likelihood sum_i w_i {y_i z_i'theta - log(1 + e^{z_i'theta})}."""
-    w = _check_weights(data, weights)
-    tv = _check_theta(data, theta)
-    return float(w @ _loglik_terms(_augment(data.x), data.y, tv))
+    return _evaluated(data, weights, theta)[1]
 
 
 def gradient(data: Dataset, weights: np.ndarray, theta: Coefficients) -> np.ndarray:
     """Gradient sum_i w_i {y_i - p_i(theta)} z_i of the weighted log-likelihood."""
-    w = _check_weights(data, weights)
-    tv = _check_theta(data, theta)
-    z = _augment(data.x)
-    p = expit(z @ tv)
-    return z.T @ (w * (data.y - p))
+    return _evaluated(data, weights, theta)[0].derivatives()[0]
 
 
 def hessian(data: Dataset, weights: np.ndarray, theta: Coefficients) -> np.ndarray:
     """Hessian -sum_i w_i p_i(1 - p_i) z_i z_i' of the weighted log-likelihood."""
-    w = _check_weights(data, weights)
-    tv = _check_theta(data, theta)
-    z = _augment(data.x)
-    p = expit(z @ tv)
-    phi = p * (1.0 - p)
-    h = -(z * (w * phi)[:, None]).T @ z
-    return 0.5 * (h + h.T)
+    return -_evaluated(data, weights, theta)[0].derivatives()[1]
 
 
 def _solve_newton(neg_hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Solve neg_hess @ step = grad via Cholesky, with one ridge retry."""
-    try:
-        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(neg_hess), grad)
-    except scipy.linalg.LinAlgError:
-        pass
     k = neg_hess.shape[0]
-    ridge = RIDGE_SCALE * np.trace(neg_hess) / k
-    if ridge > 0:
+    for ridge in (0.0, RIDGE_SCALE * np.trace(neg_hess) / k):
         try:
             return scipy.linalg.cho_solve(
                 scipy.linalg.cho_factor(neg_hess + ridge * np.eye(k)), grad
@@ -295,7 +299,9 @@ def fit_mle(
     Parameters
     ----------
     data, weights : the problem; weights must be nonnegative.
-    init : starting point, all zeros unless supplied.
+    init : starting point.  By default the intercept starts at the weighted
+        case log-odds log(sum w y / sum w (1 - y)), the exact MLE of the
+        intercept-only model, and the slopes at zero.
     tol : convergence threshold on the gradient max-norm.
     max_iter : maximum number of accepted Newton steps.
     divergence_bound : max-norm bound on iterates; crossing it raises
@@ -315,49 +321,45 @@ def fit_mle(
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
 
-    active = w_all > 0
-    y = data.y[active]
-    w = w_all[active]
+    # with every weight positive, a slice selects views instead of copies
+    active = slice(None) if np.all(w_all > 0) else w_all > 0
+    x, y, w = data.x[active], data.y[active], w_all[active]
     if not np.any(y == 1) or not np.any(y == 0):
         raise AllOneClassError(
             "need at least one positively weighted case and one control"
         )
     w = w / w.max()
-    z = _augment(data.x[active])
-    k = z.shape[1]
+    kernel = _Kernel(x, y, w)
 
     if init is None:
-        theta = np.zeros(k)
-    else:
-        theta = _check_theta(data, init)
+        # start at the intercept-only MLE: the weighted log-odds of a case
+        log_odds = np.log(np.sum(w, where=y == 1)) - np.log(np.sum(w, where=y == 0))
+        init = Coefficients(log_odds, np.zeros(data.d))
+    theta = _check_theta(data, init)
 
-    obj = float(w @ _loglik_terms(z, y, theta))
+    obj = kernel.objective(theta)
     iterations = 0
     converged = False
     while True:
-        p = expit(z @ theta)
-        grad = z.T @ (w * (y - p))
+        # the kernel's last evaluation is at theta, so nothing is recomputed
+        grad, neg_hess = kernel.derivatives()
         grad_norm = float(np.max(np.abs(grad)))
         if grad_norm <= tol:
             converged = True
             break
         if iterations >= max_iter:
             break
-        phi = p * (1.0 - p)
-        neg_hess = (z * (w * phi)[:, None]).T @ z
-        step = _solve_newton(0.5 * (neg_hess + neg_hess.T), grad)
+        step = _solve_newton(neg_hess, grad)
 
-        accepted = False
         scale = 1.0
         slack = ACCEPT_SLACK_ULPS * np.finfo(float).eps * (1.0 + abs(obj))
         for _ in range(MAX_HALVINGS + 1):
             cand = theta + scale * step
-            cand_obj = float(w @ _loglik_terms(z, y, cand))
+            cand_obj = kernel.objective(cand)
             if np.isfinite(cand_obj) and cand_obj >= obj - slack:
-                accepted = True
                 break
             scale *= 0.5
-        if not accepted:
+        else:
             # numerically stationary: no step improves the objective
             break
         theta, obj = cand, cand_obj
@@ -370,13 +372,10 @@ def fit_mle(
         if callback is not None:
             callback(iterations, theta.copy(), obj)
 
-    p = expit(z @ theta)
-    phi = p * (1.0 - p)
-    neg_hess = (z * (w * phi)[:, None]).T @ z
     return FitResult(
         theta=Coefficients.from_vector(theta),
         converged=converged,
         iterations=iterations,
         grad_max_norm=grad_norm,
-        neg_hessian=0.5 * (neg_hess + neg_hess.T),
+        neg_hessian=neg_hess,
     )

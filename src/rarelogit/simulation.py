@@ -379,9 +379,10 @@ def _run_replication(
         try:
             fit = fit_estimator(kind, data, design, config.solver)
         except RareLogitError:
-            fits.append(None)
-        else:
-            fits.append(fit.theta.as_vector())
+            fit = None
+        # a fit that stopped short of the tolerance is a failure, not an estimate
+        ok = fit is not None and fit.converged
+        fits.append(fit.theta.as_vector() if ok else None)
     return data.n1, fits
 
 
@@ -393,10 +394,10 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> EmseReport:
     """Run the replicated experiment and aggregate empirical MSEs.
 
     Failed replications (separation, one-class subsamples, singular Newton
-    systems) are excluded from an estimator's eMSE and counted in its
-    failed field.  Replications are embarrassingly parallel; results are
-    always reduced in replication order, so any threads value produces the
-    same report bit for bit.
+    systems, fits that did not converge) are excluded from an estimator's
+    eMSE and counted in its failed field.  Replications are embarrassingly
+    parallel; results are always reduced in replication order, so any
+    threads value produces the same report bit for bit.
     """
     reps = range(1, config.reps + 1)
     if threads > 1:

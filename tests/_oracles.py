@@ -7,12 +7,28 @@ touching the solver paths it is used to check.
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import expit
 
 
 def loglik_direct(x, y, w, alpha, beta):
     """Weighted logistic log-likelihood, written out directly."""
     eta = alpha + np.asarray(x) @ np.atleast_1d(beta)
     return float(np.asarray(w) @ (np.asarray(y) * eta - np.logaddexp(0.0, eta)))
+
+
+def gradient_direct(x, y, w, alpha, beta):
+    """Gradient sum_i w_i (y_i - p_i) z_i, with p_i from scipy's expit."""
+    z = np.column_stack([np.ones(len(y)), np.asarray(x)])
+    p = expit(z @ np.concatenate(([alpha], np.atleast_1d(beta))))
+    return z.T @ (np.asarray(w) * (np.asarray(y) - p))
+
+
+def hessian_direct(x, y, w, alpha, beta):
+    """Hessian -sum_i w_i p_i (1 - p_i) z_i z_i', with 1 - p_i as expit(-eta_i)."""
+    z = np.column_stack([np.ones(len(y)), np.asarray(x)])
+    eta = z @ np.concatenate(([alpha], np.atleast_1d(beta)))
+    curvature = np.asarray(w) * expit(eta) * expit(-eta)
+    return -np.einsum("i,ij,ik->jk", curvature, z, z)
 
 
 def grid_max_loglik(x, y, w, lo=-10.0, hi=10.0):

@@ -62,6 +62,14 @@ class TestDatasetIO:
         with pytest.raises(ValueError):
             load_dataset(str(path))
 
+    def test_fractional_labels_rejected(self, tmp_path):
+        path = tmp_path / "frac.csv"
+        path.write_text("y,x1\n0.5,1.0\n1.9,2.0\n0,3.0\n")
+        with pytest.raises(ValueError):
+            load_dataset(str(path))
+        code = run_cli(["fit", "--data", path, "--estimator", "full", "--out", tmp_path / "o.csv"])
+        assert code == 2
+
     def test_covariate_loader(self, tmp_path):
         path = tmp_path / "xs.csv"
         path.write_text("x1\n1.5\n-2.25\n")

@@ -261,6 +261,14 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             Dataset(x=np.zeros((2, 1)), y=[1, 2])
 
+    def test_dataset_rejects_fractional_labels(self):
+        # checked on the values as given, before any integer cast
+        for y in ([0.5, 1.9, 0.0], [1.0, 0.999], [np.nan, 1.0]):
+            with pytest.raises(ValueError):
+                Dataset(x=np.zeros((len(y), 1)), y=y)
+        data = Dataset(x=np.zeros((3, 1)), y=[1.0, 0.0, True])
+        assert_array_equal(data.y, [1, 0, 1])
+
     def test_dataset_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             Dataset(x=np.array([[np.nan]]), y=[1])

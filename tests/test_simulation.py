@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from rarelogit import (
     ExperimentConfig,
     GaussianLaw,
     MarginalLogisticDesign,
+    SolverSettings,
     calibrate_intercept,
     emse,
     full_mle,
@@ -261,6 +263,33 @@ class TestRunExperiment:
         )
         with pytest.raises(AllReplicationsFailedError):
             run_experiment(config)
+
+    def test_nonconverged_fits_count_as_failed(self):
+        config = self.small_config(reps=3)
+        capped = dataclasses.replace(config, solver=SolverSettings(max_iter=1))
+        with pytest.raises(AllReplicationsFailedError):
+            run_experiment(capped)
+
+    def test_nonconverged_count_matches_step_cap(self):
+        theta = Coefficients(-1.0, [3.0])
+        law = GaussianLaw.standard(1)
+        config = ExperimentConfig(
+            design=MarginalLogisticDesign(theta=theta, law=law),
+            n=100,
+            reps=8,
+            estimators=(FULL,),
+            base_seed=1,
+        )
+        steps = [
+            full_mle(generate_marginal(100, theta, law, substream(1, s))).iterations
+            for s in range(1, 9)
+        ]
+        # under a step cap, the replications that need more steps stop unconverged
+        cap = min(steps)
+        expected = sum(k > cap for k in steps)
+        assert 0 < expected < len(steps)
+        capped = dataclasses.replace(config, solver=SolverSettings(max_iter=cap))
+        assert run_experiment(capped).entries[0].failed == expected
 
     def test_marginal_design_runs(self):
         config = ExperimentConfig(
