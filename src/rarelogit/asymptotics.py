@@ -1,35 +1,38 @@
 """Asymptotic covariance matrices of the rare-events estimators.
 
 All matrices are covariances of sqrt(n1) * (theta_hat - theta_true) in the
-rare-events limit and are evaluated by plug-in: population expectations
-over the covariate law are replaced by averages over a user-supplied
-covariate sample xs (the dataset's own covariates, or fresh draws in
-simulation work).  With z = (1, x')' and e = exp(beta'x), the moment
-matrices are averages of
+rare-events limit and are evaluated by plug-in: expectations over the
+covariate law become averages over a covariate sample xs (the dataset's
+own covariates, or fresh draws in simulation work).  With z = (1, x')' and
+e = exp(beta'x), the moment matrices are averages of
 
     plain     e * z z'
     times     e * (1 + k e) * z z'
     over      e / (1 + k e) * z z'
     over_sq   e / (1 + k e)^2 * z z'
 
-for a nonnegative constant k, and the covariances are
+for a constant k >= 0.  Every covariance is V = f * E(e) * B^-1 M B^-1,
+with bread B, meat M, constant k and factor f from one row per family:
 
-    full      E(e) * plain^-1
-    under-w   E(e) * plain^-1 @ times(c) @ plain^-1
-    under-bc  E(e) * over(c)^-1
-    over-w    f(lam) * E(e) * plain^-1
-    over-bc   f(lam) * E(e) * over(c_o)^-1 @ over_sq(c_o) @ over(c_o)^-1
+    family    bread       meat           k     f
+    full      plain       none           -     1
+    under-w   plain       times(c)       c     1
+    under-bc  over(c)     none           c     1
+    over-w    plain       none           -     f(lam)
+    over-bc   over(c_o)   over_sq(c_o)   c_o   f(lam)
 
-where f(lam) = ((1+lam)^2 + lam) / (1+lam)^2 is the over-sampling
-inflation factor and the limit constants are c = exp(alpha_t)/pi0 and
-c_o = lambda_n * exp(alpha_t).  Efficiency comparisons between these
-matrices are statements in the Loewner (positive-semidefinite) order.
+No meat, or k = 0, means M = B, and V is then f * E(e) * B^-1 exactly.
+The inflation factor is f(lam) = ((1+lam)^2 + lam) / (1+lam)^2 and the
+limit constants are c = exp(alpha_t)/pi0 and c_o = lambda_n * exp(alpha_t).
+`covariance` is the one entry point; the v_* functions wrap it.
+Efficiency comparisons between these matrices are statements in the
+Loewner (positive-semidefinite) order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -40,10 +43,12 @@ __all__ = [
     "SCALING_LABEL",
     "SingularMomentMatrixError",
     "VarianceReport",
+    "covariance",
     "limit_constants",
     "loewner_ge",
     "moment_matrix",
     "oversampling_variance_factor",
+    "required_constants",
     "v_full",
     "v_over_bc",
     "v_over_weighted",
@@ -111,9 +116,7 @@ def moment_matrix(
     integrand) raise OverflowError instead of propagating infinities.
     """
     xs, beta = _as_sample(xs, beta)
-    constant = float(constant)
-    if not constant >= 0.0:
-        raise ValueError(f"constant must be >= 0, got {constant}")
+    constant = _check_constant(constant, "constant")
     expo = xs @ beta
     if np.max(np.abs(expo), initial=0.0) > EXPONENT_GUARD:
         raise OverflowError(
@@ -157,33 +160,78 @@ def _sandwich(bread_inv: np.ndarray, meat: np.ndarray) -> np.ndarray:
     return 0.5 * (v + v.T)
 
 
+class _Sandwich(NamedTuple):
+    """Bread and meat integrands, the name of their constant k, and whether f(lam) applies."""
+
+    bread: MomentTransform
+    meat: MomentTransform | None
+    constant: str | None
+    inflated: bool
+
+
+_SANDWICHES = {
+    EstimatorFamily.FULL: _Sandwich("plain", None, None, False),
+    EstimatorFamily.UNDER_WEIGHTED: _Sandwich("plain", "times", "c", False),
+    EstimatorFamily.UNDER_BIAS_CORRECTED: _Sandwich("over", None, "c", False),
+    EstimatorFamily.OVER_WEIGHTED: _Sandwich("plain", None, None, True),
+    EstimatorFamily.OVER_BIAS_CORRECTED: _Sandwich("over", "over_sq", "c_o", True),
+}
+
+
+def required_constants(family: EstimatorFamily) -> tuple[str, ...]:
+    """Names of the constants covariance() needs for family, in checking order."""
+    row = _SANDWICHES[family]
+    names = ("lam",) if row.inflated else ()
+    return names if row.constant is None else names + (row.constant,)
+
+
+def covariance(
+    family: EstimatorFamily,
+    xs: np.ndarray,
+    beta: np.ndarray,
+    *,
+    c: float | None = None,
+    c_o: float | None = None,
+    lam: float | None = None,
+) -> VarianceReport:
+    """Asymptotic covariance of a family's estimator, by its table row.
+
+    Constants the family does not use are ignored and not reported.
+    """
+    names = required_constants(family)
+    given = {"c": c, "c_o": c_o, "lam": lam}
+    missing = [name for name in names if given[name] is None]
+    if missing:
+        raise ValueError(f"{family.value} variance needs {missing[0]}")
+    used = {name: _check_constant(given[name], name) for name in names}
+
+    row = _SANDWICHES[family]
+    k = 0.0 if row.constant is None else used[row.constant]
+    bread, e_mean = moment_matrix(xs, beta, row.bread, k)
+    bread_inv = _sym_inverse(bread)
+    if row.meat is None or k == 0.0:
+        v = e_mean * bread_inv
+    else:
+        meat, _ = moment_matrix(xs, beta, row.meat, k)
+        v = e_mean * _sandwich(bread_inv, meat)
+    if row.inflated:
+        v = oversampling_variance_factor(used["lam"]) * v
+    return VarianceReport(kind=family, v=v, **used)
+
+
 def v_full(xs: np.ndarray, beta: np.ndarray) -> VarianceReport:
     """Covariance of the full-data MLE: E(e) * plain^-1."""
-    mf, e_mean = moment_matrix(xs, beta, "plain")
-    return VarianceReport(kind=EstimatorFamily.FULL, v=e_mean * _sym_inverse(mf))
+    return covariance(EstimatorFamily.FULL, xs, beta)
 
 
 def v_under_weighted(xs: np.ndarray, beta: np.ndarray, c: float) -> VarianceReport:
     """Covariance of the under-sampled weighted estimator (sandwich in c)."""
-    c = _check_constant(c, "c")
-    mf, e_mean = moment_matrix(xs, beta, "plain")
-    mf_inv = _sym_inverse(mf)
-    if c == 0.0:
-        # times(0) == plain, so the sandwich collapses exactly
-        v = e_mean * mf_inv
-    else:
-        mw, _ = moment_matrix(xs, beta, "times", c)
-        v = e_mean * _sandwich(mf_inv, mw)
-    return VarianceReport(kind=EstimatorFamily.UNDER_WEIGHTED, v=v, c=c)
+    return covariance(EstimatorFamily.UNDER_WEIGHTED, xs, beta, c=c)
 
 
 def v_under_bc(xs: np.ndarray, beta: np.ndarray, c: float) -> VarianceReport:
     """Covariance of the under-sampled bias-corrected estimator: E(e) * over(c)^-1."""
-    c = _check_constant(c, "c")
-    mbc, e_mean = moment_matrix(xs, beta, "over", c)
-    return VarianceReport(
-        kind=EstimatorFamily.UNDER_BIAS_CORRECTED, v=e_mean * _sym_inverse(mbc), c=c
-    )
+    return covariance(EstimatorFamily.UNDER_BIAS_CORRECTED, xs, beta, c=c)
 
 
 def oversampling_variance_factor(lam: float) -> float:
@@ -197,31 +245,14 @@ def oversampling_variance_factor(lam: float) -> float:
 
 def v_over_weighted(xs: np.ndarray, beta: np.ndarray, lam: float) -> VarianceReport:
     """Covariance of the over-sampled weighted estimator: f(lam) * E(e) * plain^-1."""
-    lam = _check_constant(lam, "lam")
-    factor = oversampling_variance_factor(lam)
-    mf, e_mean = moment_matrix(xs, beta, "plain")
-    v = factor * (e_mean * _sym_inverse(mf))
-    return VarianceReport(kind=EstimatorFamily.OVER_WEIGHTED, v=v, lam=lam)
+    return covariance(EstimatorFamily.OVER_WEIGHTED, xs, beta, lam=lam)
 
 
 def v_over_bc(
     xs: np.ndarray, beta: np.ndarray, lam: float, c_o: float
 ) -> VarianceReport:
     """Covariance of the over-sampled bias-corrected estimator (sandwich in c_o)."""
-    lam = _check_constant(lam, "lam")
-    c_o = _check_constant(c_o, "c_o")
-    factor = oversampling_variance_factor(lam)
-    m2, e_mean = moment_matrix(xs, beta, "over", c_o)
-    m2_inv = _sym_inverse(m2)
-    if c_o == 0.0:
-        # over(0) == over_sq(0) == plain: the sandwich collapses exactly
-        v = factor * (e_mean * m2_inv)
-    else:
-        m1, _ = moment_matrix(xs, beta, "over_sq", c_o)
-        v = factor * (e_mean * _sandwich(m2_inv, m1))
-    return VarianceReport(
-        kind=EstimatorFamily.OVER_BIAS_CORRECTED, v=v, c_o=c_o, lam=lam
-    )
+    return covariance(EstimatorFamily.OVER_BIAS_CORRECTED, xs, beta, c_o=c_o, lam=lam)
 
 
 def _check_constant(value: float, name: str) -> float:
@@ -249,10 +280,7 @@ def limit_constants(
             raise ValueError(f"pi0 must be in (0, 1], got {pi0}")
         c = float(np.exp(alpha_t)) / pi0
     if lambda_n is not None:
-        lambda_n = float(lambda_n)
-        if not lambda_n >= 0.0:
-            raise ValueError(f"lambda_n must be >= 0, got {lambda_n}")
-        c_o = lambda_n * float(np.exp(alpha_t))
+        c_o = _check_constant(lambda_n, "lambda_n") * float(np.exp(alpha_t))
     return c, c_o
 
 

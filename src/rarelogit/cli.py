@@ -20,13 +20,10 @@ import numpy as np
 from . import __version__
 from .asymptotics import (
     VarianceReport,
+    covariance,
     limit_constants,
     oversampling_variance_factor,
-    v_full,
-    v_over_bc,
-    v_over_weighted,
-    v_under_bc,
-    v_under_weighted,
+    required_constants,
 )
 from .estimators import (
     EstimatorFamily,
@@ -46,15 +43,10 @@ from .simulation import (
 
 __all__ = ["load_dataset", "load_covariates", "main", "save_dataset"]
 
-_KIND_ALIASES = {
-    "full": EstimatorFamily.FULL,
-    "under-w": EstimatorFamily.UNDER_WEIGHTED,
+_KIND_ALIASES = {family.value: family for family in EstimatorFamily} | {
     "uw": EstimatorFamily.UNDER_WEIGHTED,
-    "under-bc": EstimatorFamily.UNDER_BIAS_CORRECTED,
     "ubc": EstimatorFamily.UNDER_BIAS_CORRECTED,
-    "over-w": EstimatorFamily.OVER_WEIGHTED,
     "ow": EstimatorFamily.OVER_WEIGHTED,
-    "over-bc": EstimatorFamily.OVER_BIAS_CORRECTED,
     "obc": EstimatorFamily.OVER_BIAS_CORRECTED,
 }
 
@@ -125,42 +117,39 @@ def _ints(text: str) -> list[int]:
 
 def _estimator_kind(name: str, pi0: float | None, lambda_n: float | None) -> EstimatorKind:
     tag = _KIND_ALIASES[name]
-    if tag is EstimatorFamily.FULL:
+    if tag.design_kind is None:
         return EstimatorKind(tag)
-    if tag in (EstimatorFamily.UNDER_WEIGHTED, EstimatorFamily.UNDER_BIAS_CORRECTED):
-        if pi0 is None:
-            raise ValueError(f"--estimator {name} requires --pi0")
-        return EstimatorKind(tag, rate=pi0)
-    if lambda_n is None:
-        raise ValueError(f"--estimator {name} requires --lambda")
-    return EstimatorKind(tag, rate=lambda_n)
+    if tag.design_kind is DesignKind.UNDERSAMPLE:
+        flag, rate = "--pi0", pi0
+    else:
+        flag, rate = "--lambda", lambda_n
+    if rate is None:
+        raise ValueError(f"--estimator {name} requires {flag}")
+    return EstimatorKind(tag, rate=rate)
 
 
-def _variance_for(
-    family: EstimatorFamily,
-    xs: np.ndarray,
-    beta: np.ndarray,
-    c: float | None,
-    c_o: float | None,
-    lam: float | None,
-) -> VarianceReport:
-    if family is EstimatorFamily.FULL:
-        return v_full(xs, beta)
-    if family is EstimatorFamily.UNDER_WEIGHTED:
-        if c is None:
-            raise ValueError("under-w variance needs c (or --alpha-t with --pi0)")
-        return v_under_weighted(xs, beta, c)
-    if family is EstimatorFamily.UNDER_BIAS_CORRECTED:
-        if c is None:
-            raise ValueError("under-bc variance needs c (or --alpha-t with --pi0)")
-        return v_under_bc(xs, beta, c)
-    if lam is None:
-        raise ValueError("over-sampling variances need --lambda")
-    if family is EstimatorFamily.OVER_WEIGHTED:
-        return v_over_weighted(xs, beta, lam)
-    if c_o is None:
-        raise ValueError("over-bc variance needs c_o (or --alpha-t with --lambda)")
-    return v_over_bc(xs, beta, lam, c_o)
+# what to say when a limit constant a covariance needs was neither given nor derived
+_MISSING_CONSTANT = {
+    "c": "{} variance needs c (or --alpha-t with --pi0)",
+    "c_o": "{} variance needs c_o (or --alpha-t with --lambda)",
+    "lam": "over-sampling variances need --lambda",
+}
+
+
+def _variance_constants(
+    args: argparse.Namespace, family: EstimatorFamily, pi0: float | None, lam: float | None
+) -> dict[str, float | None]:
+    """c, c_o and lambda for a covariance: --c and --c-o, else derived from --alpha-t."""
+    c, c_o = args.c, args.c_o
+    if args.alpha_t is not None:
+        derived_c, derived_co = limit_constants(args.alpha_t, pi0=pi0, lambda_n=lam)
+        c = derived_c if c is None else c
+        c_o = derived_co if c_o is None else c_o
+    constants = {"c": c, "c_o": c_o, "lam": lam}
+    for name in required_constants(family):
+        if constants[name] is None:
+            raise ValueError(_MISSING_CONSTANT[name].format(family.value))
+    return constants
 
 
 def _variance_rows(report: VarianceReport) -> list[list]:
@@ -204,12 +193,8 @@ def _cmd_fit(args: argparse.Namespace) -> None:
     if args.alpha_t is not None or args.c is not None or args.c_o is not None:
         pi0 = kind.rate if kind.design_kind is DesignKind.UNDERSAMPLE else None
         lam = kind.rate if kind.design_kind is DesignKind.OVERSAMPLE else None
-        c, c_o = args.c, args.c_o
-        if args.alpha_t is not None:
-            derived_c, derived_co = limit_constants(args.alpha_t, pi0=pi0, lambda_n=lam)
-            c = derived_c if c is None else c
-            c_o = derived_co if c_o is None else c_o
-        report = _variance_for(kind.tag, data.x, fit.theta.beta, c, c_o, lam)
+        constants = _variance_constants(args, kind.tag, pi0, lam)
+        report = covariance(kind.tag, data.x, fit.theta.beta, **constants)
         rows.extend(_variance_rows(report))
 
     _write_table(args.out, args.seed, ["field", "value"], rows)
@@ -263,25 +248,20 @@ def _cmd_table1(args: argparse.Namespace) -> None:
     print(args.out)
 
 
-def _sweep_estimators(scheme: str, grid: list[float]) -> tuple[EstimatorKind, ...]:
-    kinds: list[EstimatorKind] = [EstimatorKind(EstimatorFamily.FULL)]
-    for rate in grid:
-        if scheme == "under":
-            kinds.append(EstimatorKind(EstimatorFamily.UNDER_WEIGHTED, rate=rate))
-            kinds.append(EstimatorKind(EstimatorFamily.UNDER_BIAS_CORRECTED, rate=rate))
-        else:
-            kinds.append(EstimatorKind(EstimatorFamily.OVER_WEIGHTED, rate=rate))
-            kinds.append(EstimatorKind(EstimatorFamily.OVER_BIAS_CORRECTED, rate=rate))
-    return tuple(kinds)
+def _sweep_estimators(scheme: DesignKind, grid: list[float]) -> tuple[EstimatorKind, ...]:
+    """The full-data baseline, then every family on the scheme at each rate."""
+    families = [family for family in EstimatorFamily if family.design_kind is scheme]
+    kinds = [EstimatorKind(family, rate=rate) for rate in grid for family in families]
+    return (EstimatorKind(EstimatorFamily.FULL), *kinds)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
     if (args.pi0_grid is None) == (args.lambda_grid is None):
         raise ValueError("give exactly one of --pi0-grid and --lambda-grid")
     if args.pi0_grid is not None:
-        scheme, grid = "under", _floats(args.pi0_grid)
+        scheme, grid = DesignKind.UNDERSAMPLE, _floats(args.pi0_grid)
     else:
-        scheme, grid = "over", _floats(args.lambda_grid)
+        scheme, grid = DesignKind.OVERSAMPLE, _floats(args.lambda_grid)
     theta_vals = _floats(args.theta_t)
     if len(theta_vals) < 2:
         raise ValueError("--theta-t needs an intercept and at least one slope")
@@ -329,14 +309,8 @@ def _cmd_variance(args: argparse.Namespace) -> None:
         law = GaussianLaw(means=tuple(means), sds=tuple(sds))
         xs = law.sample(args.m, substream(args.seed))
 
-    c, c_o, lam = args.c, args.c_o, args.lambda_n
-    if args.alpha_t is not None:
-        derived_c, derived_co = limit_constants(
-            args.alpha_t, pi0=args.pi0, lambda_n=args.lambda_n
-        )
-        c = derived_c if c is None else c
-        c_o = derived_co if c_o is None else c_o
-    report = _variance_for(family, xs, beta, c, c_o, lam)
+    constants = _variance_constants(args, family, args.pi0, args.lambda_n)
+    report = covariance(family, xs, beta, **constants)
     rows: list[list] = [["kind", family.value], ["m", xs.shape[0]]]
     rows.extend(_variance_rows(report))
     _write_table(args.out, args.seed, ["field", "value"], rows)

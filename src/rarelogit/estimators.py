@@ -1,19 +1,19 @@
 """The five point estimators for rare-events logistic regression.
 
-Besides the full-data MLE there are four subsample estimators, one
-weighted and one bias-corrected variant per sampling scheme:
+Each estimator is one weighted logistic MLE plus an exact shift of the
+fitted intercept (King & Zeng's prior correction), both read off one table
+row per family:
 
-- under-sampled weighted: inverse-probability weights 1/pi_i on the
-  selected rows;
-- under-sampled unweighted: plain MLE on the selected rows, then the exact
-  intercept shift +log(pi0);
-- over-sampled weighted: weights tau_i / (1 + lambda_n y_i) on all rows;
-- over-sampled unweighted: count weights tau_i, then the exact intercept
-  shift -log(1 + lambda_n).
+    family    design       row weights                 intercept shift
+    full      none         1                           none
+    under-w   undersample  delta_i / pi_i              none
+    under-bc  undersample  delta_i                     +log(pi0)
+    over-w    oversample   tau_i / (1 + lambda_n y_i)  none
+    over-bc   oversample   tau_i                       -log(1 + lambda_n)
 
-The corrections are applied after convergence, never inside the
-iteration, so the weighted/bias-corrected pair computed from one design
-is deterministic given that design.
+The solver drops rows of weight zero, so an under-sampled fit runs on the
+selected rows only.  The shift follows convergence, so diagnostics describe
+the unshifted fit and the pair fitted on one design is deterministic.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import dataclasses
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,9 +61,29 @@ class EstimatorFamily(enum.Enum):
     OVER_WEIGHTED = "over-w"
     OVER_BIAS_CORRECTED = "over-bc"
 
+    @property
+    def design_kind(self) -> DesignKind | None:
+        """The sampling design the family fits on (None for the full data)."""
+        return _ESTIMATORS[self].design
 
-_UNDER = (EstimatorFamily.UNDER_WEIGHTED, EstimatorFamily.UNDER_BIAS_CORRECTED)
-_OVER = (EstimatorFamily.OVER_WEIGHTED, EstimatorFamily.OVER_BIAS_CORRECTED)
+
+class _Estimator(NamedTuple):
+    """Design, whether indicators are divided by inclusion weights, shift(rate)."""
+
+    design: DesignKind | None
+    inverse_probability: bool
+    shift: Callable[[float], float] | None
+
+
+_ESTIMATORS = {
+    EstimatorFamily.FULL: _Estimator(None, False, None),
+    EstimatorFamily.UNDER_WEIGHTED: _Estimator(DesignKind.UNDERSAMPLE, True, None),
+    EstimatorFamily.UNDER_BIAS_CORRECTED: _Estimator(DesignKind.UNDERSAMPLE, False, math.log),
+    EstimatorFamily.OVER_WEIGHTED: _Estimator(DesignKind.OVERSAMPLE, True, None),
+    EstimatorFamily.OVER_BIAS_CORRECTED: _Estimator(
+        DesignKind.OVERSAMPLE, False, lambda lam: -math.log1p(lam)
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -73,91 +94,51 @@ class EstimatorKind:
     rate: float | None = None
 
     def __post_init__(self) -> None:
-        if self.tag is EstimatorFamily.FULL:
+        if self.design_kind is None:
             if self.rate is not None:
                 raise ValueError("the full-data estimator takes no rate")
             return
         if self.rate is None:
             raise ValueError(f"{self.tag.value} requires a sampling rate")
         rate = float(self.rate)
-        if self.tag in _UNDER and not (0.0 < rate <= 1.0):
+        if self.design_kind is DesignKind.UNDERSAMPLE and not (0.0 < rate <= 1.0):
             raise ValueError(f"pi0 must be in (0, 1], got {rate}")
-        if self.tag in _OVER and not rate >= 0.0:
+        if self.design_kind is DesignKind.OVERSAMPLE and not rate >= 0.0:
             raise ValueError(f"lambda_n must be >= 0, got {rate}")
         object.__setattr__(self, "rate", rate)
 
     @property
     def design_kind(self) -> DesignKind | None:
-        if self.tag in _UNDER:
-            return DesignKind.UNDERSAMPLE
-        if self.tag in _OVER:
-            return DesignKind.OVERSAMPLE
-        return None
+        return self.tag.design_kind
 
 
 def full_mle(data: Dataset, settings: SolverSettings = SolverSettings()) -> FitResult:
     """MLE on the full data (unit weights)."""
-    return _fit(data, np.ones(data.n), settings)
-
-
-def _fit(data: Dataset, weights: np.ndarray, settings: SolverSettings) -> FitResult:
-    return fit_mle(
-        data,
-        weights,
-        tol=settings.tol,
-        max_iter=settings.max_iter,
-        divergence_bound=settings.divergence_bound,
-    )
-
-
-def _selected(data: Dataset, design: SampleDesign) -> tuple[Dataset, np.ndarray]:
-    if design.kind is not DesignKind.UNDERSAMPLE:
-        raise ValueError(f"expected an under-sampling design, got {design.kind}")
-    if design.n != data.n:
-        raise ValueError("design and dataset lengths differ")
-    mask = design.indicators == 1
-    if not np.any(data.y[mask] == 0):
-        raise NoControlsSelectedError(
-            f"no controls selected at pi0={design.rate:g} (n0={data.n0})"
-        )
-    return Dataset(x=data.x[mask], y=data.y[mask]), mask
+    return fit_estimator(EstimatorKind(EstimatorFamily.FULL), data, None, settings)
 
 
 def under_weighted(
     data: Dataset, design: SampleDesign, settings: SolverSettings = SolverSettings()
 ) -> FitResult:
     """Fit on the selected rows with inverse-probability weights 1/pi_i."""
-    sub, mask = _selected(data, design)
-    return _fit(sub, 1.0 / design.inclusion_weight[mask], settings)
+    kind = EstimatorKind(EstimatorFamily.UNDER_WEIGHTED, design.rate)
+    return fit_estimator(kind, data, design, settings)
 
 
 def under_bias_corrected(
     data: Dataset, design: SampleDesign, settings: SolverSettings = SolverSettings()
 ) -> FitResult:
-    """Unweighted fit on the selected rows, then shift the intercept by log(pi0).
-
-    Diagnostics (convergence, gradient norm, curvature) describe the
-    underlying unweighted fit; only theta carries the correction.
-    """
-    sub, _ = _selected(data, design)
-    fit = _fit(sub, np.ones(sub.n), settings)
-    corrected = Coefficients(fit.theta.alpha + math.log(design.rate), fit.theta.beta)
-    return dataclasses.replace(fit, theta=corrected)
-
-
-def _check_over(data: Dataset, design: SampleDesign) -> None:
-    if design.kind is not DesignKind.OVERSAMPLE:
-        raise ValueError(f"expected an over-sampling design, got {design.kind}")
-    if design.n != data.n:
-        raise ValueError("design and dataset lengths differ")
+    """Unweighted fit on the selected rows, then shift the intercept by log(pi0)."""
+    kind = EstimatorKind(EstimatorFamily.UNDER_BIAS_CORRECTED, design.rate)
+    return fit_estimator(kind, data, design, settings)
 
 
 def over_weighted(
     data: Dataset, design: SampleDesign, settings: SolverSettings = SolverSettings()
 ) -> FitResult:
     """Fit with weights tau_i / (1 + lambda_n y_i)."""
-    _check_over(data, design)
-    return _fit(data, design.indicators / design.inclusion_weight, settings)
+    kind = EstimatorKind(EstimatorFamily.OVER_WEIGHTED, design.rate)
+    return fit_estimator(kind, data, design, settings)
 
 
 def over_bias_corrected(
@@ -166,12 +147,10 @@ def over_bias_corrected(
     """Fit with count weights tau_i, then shift the intercept by -log(1 + lambda_n).
 
     Count weights reproduce the objective of materializing the replicated
-    rows without the memory cost.  Diagnostics describe the uncorrected fit.
+    rows without the memory cost.
     """
-    _check_over(data, design)
-    fit = _fit(data, design.indicators.astype(np.float64), settings)
-    corrected = Coefficients(fit.theta.alpha - math.log1p(design.rate), fit.theta.beta)
-    return dataclasses.replace(fit, theta=corrected)
+    kind = EstimatorKind(EstimatorFamily.OVER_BIAS_CORRECTED, design.rate)
+    return fit_estimator(kind, data, design, settings)
 
 
 def realize_design(
@@ -191,15 +170,39 @@ def fit_estimator(
     design: SampleDesign | None = None,
     settings: SolverSettings = SolverSettings(),
 ) -> FitResult:
-    """Dispatch to the estimator named by kind, using a realized design."""
-    if kind.tag is EstimatorFamily.FULL:
-        return full_mle(data, settings)
-    if design is None:
-        raise ValueError(f"{kind.tag.value} requires a realized design")
-    if kind.tag is EstimatorFamily.UNDER_WEIGHTED:
-        return under_weighted(data, design, settings)
-    if kind.tag is EstimatorFamily.UNDER_BIAS_CORRECTED:
-        return under_bias_corrected(data, design, settings)
-    if kind.tag is EstimatorFamily.OVER_WEIGHTED:
-        return over_weighted(data, design, settings)
-    return over_bias_corrected(data, design, settings)
+    """Fit the estimator named by kind on a realized design.
+
+    One weighted MLE over all n rows with the family's weights, then the
+    family's exact intercept shift at the design's rate.  The design is
+    ignored for the full-data estimator.
+    """
+    row = _ESTIMATORS[kind.tag]
+    if row.design is None:
+        weights = np.ones(data.n)
+    else:
+        if design is None:
+            raise ValueError(f"{kind.tag.value} requires a realized design")
+        if design.kind is not row.design:
+            raise ValueError(f"{kind.tag.value} needs an {row.design.value} design")
+        if design.n != data.n:
+            raise ValueError("design and dataset lengths differ")
+        if design.kind is DesignKind.UNDERSAMPLE and not np.any(
+            data.y[design.indicators == 1] == 0
+        ):
+            raise NoControlsSelectedError(
+                f"no controls selected at pi0={design.rate:g} (n0={data.n0})"
+            )
+        weights = design.indicators
+        if row.inverse_probability:
+            weights = weights / design.inclusion_weight
+    fit = fit_mle(
+        data,
+        weights,
+        tol=settings.tol,
+        max_iter=settings.max_iter,
+        divergence_bound=settings.divergence_bound,
+    )
+    if row.shift is None:
+        return fit
+    shifted = Coefficients(fit.theta.alpha + row.shift(design.rate), fit.theta.beta)
+    return dataclasses.replace(fit, theta=shifted)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import expit
 
-from .estimators import EstimatorFamily, EstimatorKind, fit_estimator, realize_design
+from .estimators import EstimatorKind, fit_estimator, realize_design
 from .model import Coefficients, Dataset, RareLogitError, SolverSettings
 from .sampling import SampleDesign, substream
 
@@ -369,7 +369,7 @@ def _run_replication(
     fits: list[np.ndarray | None] = []
     for i, kind in enumerate(config.estimators):
         design = None
-        if kind.tag is not EstimatorFamily.FULL:
+        if kind.design_kind is not None:
             key = (kind.design_kind, kind.rate)
             if key not in designs:
                 designs[key] = realize_design(

@@ -122,6 +122,18 @@ class TestFitCommand:
         code = run_cli(["fit", "--data", mixed_csv, "--estimator", "under-w", "--out", tmp_path / "o.csv"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "estimator, message",
+        [
+            ("under-w", "--estimator under-w requires --pi0"),
+            ("obc", "--estimator obc requires --lambda"),
+        ],
+    )
+    def test_missing_rate_message(self, mixed_csv, tmp_path, capsys, estimator, message):
+        code = run_cli(["fit", "--data", mixed_csv, "--estimator", estimator, "--out", tmp_path / "o.csv"])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"ValueError: {message}"
+
     def test_separated_data_exits_3(self, tmp_path, capsys):
         x = 0.5 * np.array([-2.0, -1.5, -1.0, 1.0, 1.5, 2.0])
         data = Dataset(x=x[:, None], y=(x > 0).astype(int))
@@ -130,6 +142,14 @@ class TestFitCommand:
         code = run_cli(["fit", "--data", path, "--estimator", "full", "--out", tmp_path / "o.csv"])
         assert code == 3
         assert "Separation" in capsys.readouterr().err
+
+    def test_overflowing_covariates_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text("y,x1\n1,1e200\n0,2e200\n1,-1e200\n0,3e200\n0,5e199\n")
+        with np.errstate(over="ignore"):
+            code = run_cli(["fit", "--data", path, "--estimator", "full", "--out", tmp_path / "o.csv"])
+        assert code == 3
+        assert "SingularHessianError" in capsys.readouterr().err
 
     def test_stdout_carries_only_result_path(self, balanced_csv, tmp_path, capsys):
         out = tmp_path / "fit.csv"
@@ -256,6 +276,22 @@ class TestVarianceCommand:
         code = run_cli(["variance", "--kind", "full", "--beta", "1", "--xs", xs_path, "--out", out])
         assert code == 0
         assert float(fields(out)["m"]) == 5000
+
+    @pytest.mark.parametrize(
+        "kind, extra, message",
+        [
+            ("under-w", [], "under-w variance needs c (or --alpha-t with --pi0)"),
+            ("ubc", ["--alpha-t", -1], "under-bc variance needs c (or --alpha-t with --pi0)"),
+            ("over-w", ["--c", 1], "over-sampling variances need --lambda"),
+            ("over-bc", ["--c-o", 1], "over-sampling variances need --lambda"),
+            ("obc", ["--lambda", 2], "over-bc variance needs c_o (or --alpha-t with --lambda)"),
+        ],
+    )
+    def test_missing_constant_message(self, tmp_path, capsys, kind, extra, message):
+        args = ["variance", "--kind", kind, "--beta", "1", "--m", 50, "--out", tmp_path / "v.csv"]
+        code = run_cli(args + extra)
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"ValueError: {message}"
 
     def test_singular_sample_exits_3(self, tmp_path, capsys):
         xs_path = tmp_path / "xs.csv"

@@ -8,6 +8,7 @@ from rarelogit import (
     AllOneClassError,
     Coefficients,
     Dataset,
+    RareLogitError,
     SeparationError,
     SingularHessianError,
     fit_mle,
@@ -236,6 +237,13 @@ class TestFitMle:
         data = Dataset(x=np.zeros((4, 1)), y=[1, 1, 0, 0])
         with pytest.raises(SingularHessianError):
             fit_mle(data, np.ones(4), init=Coefficients(-800.0, [0.0]))
+
+    def test_overflowing_curvature_is_a_numeric_failure(self):
+        # finite covariates near 1e200 square to inf in the Hessian
+        x = np.array([[1e200], [2e200], [-1e200], [3e200], [5e199]])
+        data = Dataset(x=x, y=[1, 0, 1, 0, 0])
+        with np.errstate(over="ignore"), pytest.raises(RareLogitError):
+            fit_mle(data, np.ones(5))
 
     def test_max_iter_cap(self):
         rng = np.random.default_rng(9)
