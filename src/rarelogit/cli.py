@@ -1,17 +1,20 @@
 """Command-line surface: dataset I/O, fits, simulation tables, variance reports.
 
 Subcommands: fit, table1, sweep, variance.  Datasets are CSV with a header
-row, a first column y of 0/1 labels and covariate columns x1..xd.  Result
-files are CSV with a leading provenance comment line `# seed=<s>
-version=<v>`; numeric fields carry 17 significant digits so values
-round-trip exactly.  Exit codes: 0 success, 2 input or I/O error, 3
-numeric or solver failure.
+row, a first column y of 0/1 labels and covariate columns x1..xd.  They are
+written through one `%`-format row template with 17 significant digits and
+read by one `np.loadtxt` call after the header, so a saved dataset loads
+back bit for bit.  Result files are CSV with a leading provenance comment
+line `# seed=<s> version=<v>`; numeric fields carry 17 significant digits
+so values round-trip exactly.  Exit codes: 0 success, 2 input or I/O
+error, 3 numeric or solver failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import os
 import sys
 
@@ -71,40 +74,51 @@ def _write_table(path: str, seed: int, header: list[str], rows: list[list]) -> N
 
 
 def save_dataset(path: str, data: Dataset) -> None:
-    """Write a dataset as CSV: header y,x1..xd, 17-significant-digit values."""
+    """Write a dataset as CSV: header y,x1..xd, then one line per row.
+
+    Each line is the template "%d,%.17g,...,%.17g" applied to the row, the
+    same conversion as f"{v:.17g}": 17 significant digits, trailing zeros
+    dropped, enough for every double (subnormals, -0 and values near 1e308
+    included) to read back to the same bits.
+    """
+    template = "%d" + ",%.17g" * data.d + "\n"
+    columns = [data.y.tolist()] + [column.tolist() for column in data.x.T]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["y"] + [f"x{j + 1}" for j in range(data.d)])
-        for i in range(data.n):
-            writer.writerow([str(int(data.y[i]))] + [_fmt(v) for v in data.x[i]])
+        fh.write(",".join(["y"] + [f"x{j + 1}" for j in range(data.d)]) + "\n")
+        fh.writelines(template % row for row in zip(*columns))
+
+
+def _read_table(path: str, first_column: str | None) -> np.ndarray:
+    """The data rows of a CSV with a header row, as an (n, columns) float array.
+
+    The header is read by csv.reader and must start with first_column when
+    that is given.  The rows go to one np.loadtxt call, which skips blank
+    lines and accepts quoted cells; a cell that is not a float literal or
+    a ragged row raises ValueError.
+    """
+    with open(path) as fh:
+        header = next(csv.reader(fh), None)
+        if first_column is not None and (not header or header[0].strip() != first_column):
+            raise ValueError(f"{path}: expected header starting with {first_column!r}")
+        if not header:
+            raise ValueError(f"{path}: empty file")
+        first_row = next((line for line in fh if line.strip()), None)
+        if first_row is None:
+            raise ValueError(f"{path}: no data rows")
+        # the file's own line iterator parses faster than a string of the rows
+        rows = itertools.chain([first_row], fh)
+        return np.loadtxt(rows, delimiter=",", comments=None, quotechar='"', ndmin=2)
 
 
 def load_dataset(path: str) -> Dataset:
     """Read a dataset CSV (header y,x1..xd) back into a Dataset."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0].strip() != "y":
-            raise ValueError(f"{path}: expected header starting with 'y'")
-        rows = [row for row in reader if row]
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    y = np.array([float(r[0]) for r in rows])
-    x = np.array([[float(v) for v in r[1:]] for r in rows])
-    return Dataset(x=x, y=y)
+    table = _read_table(path, "y")
+    return Dataset(x=table[:, 1:], y=table[:, 0])
 
 
 def load_covariates(path: str) -> np.ndarray:
     """Read a covariate sample CSV (header x1..xd, no label column)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header:
-            raise ValueError(f"{path}: empty file")
-        rows = [row for row in reader if row]
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    return np.array([[float(v) for v in r] for r in rows])
+    return _read_table(path, None)
 
 
 def _floats(text: str) -> list[float]:
@@ -113,6 +127,14 @@ def _floats(text: str) -> list[float]:
 
 def _ints(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip() != ""]
+
+
+def _check_rates(args: argparse.Namespace) -> None:
+    """Reject an out-of-range --pi0 or --lambda, whether the estimator uses it or not."""
+    if args.pi0 is not None and not 0.0 < args.pi0 <= 1.0:
+        raise ValueError(f"pi0 must be in (0, 1], got {args.pi0}")
+    if args.lambda_n is not None and not args.lambda_n >= 0.0:
+        raise ValueError(f"lambda_n must be >= 0, got {args.lambda_n}")
 
 
 def _estimator_kind(name: str, pi0: float | None, lambda_n: float | None) -> EstimatorKind:
@@ -137,9 +159,14 @@ _MISSING_CONSTANT = {
 
 
 def _variance_constants(
-    args: argparse.Namespace, family: EstimatorFamily, pi0: float | None, lam: float | None
+    args: argparse.Namespace, family: EstimatorFamily
 ) -> dict[str, float | None]:
-    """c, c_o and lambda for a covariance: --c and --c-o, else derived from --alpha-t."""
+    """c, c_o and lambda for a covariance: --c and --c-o, else derived from --alpha-t.
+
+    Only the rate the family samples at, --pi0 or --lambda, is used.
+    """
+    pi0 = args.pi0 if family.design_kind is DesignKind.UNDERSAMPLE else None
+    lam = args.lambda_n if family.design_kind is DesignKind.OVERSAMPLE else None
     c, c_o = args.c, args.c_o
     if args.alpha_t is not None:
         derived_c, derived_co = limit_constants(args.alpha_t, pi0=pi0, lambda_n=lam)
@@ -169,6 +196,7 @@ def _variance_rows(report: VarianceReport) -> list[list]:
 
 
 def _cmd_fit(args: argparse.Namespace) -> None:
+    _check_rates(args)
     data = load_dataset(args.data)
     kind = _estimator_kind(args.estimator, args.pi0, args.lambda_n)
     settings = SolverSettings(tol=args.tol, max_iter=args.max_iter)
@@ -191,9 +219,7 @@ def _cmd_fit(args: argparse.Namespace) -> None:
         rows.append([f"beta{j + 1}", b])
 
     if args.alpha_t is not None or args.c is not None or args.c_o is not None:
-        pi0 = kind.rate if kind.design_kind is DesignKind.UNDERSAMPLE else None
-        lam = kind.rate if kind.design_kind is DesignKind.OVERSAMPLE else None
-        constants = _variance_constants(args, kind.tag, pi0, lam)
+        constants = _variance_constants(args, kind.tag)
         report = covariance(kind.tag, data.x, fit.theta.beta, **constants)
         rows.extend(_variance_rows(report))
 
@@ -298,6 +324,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
 
 
 def _cmd_variance(args: argparse.Namespace) -> None:
+    _check_rates(args)
     family = _KIND_ALIASES[args.kind]
     beta = np.array(_floats(args.beta))
     if args.xs is not None:
@@ -309,7 +336,7 @@ def _cmd_variance(args: argparse.Namespace) -> None:
         law = GaussianLaw(means=tuple(means), sds=tuple(sds))
         xs = law.sample(args.m, substream(args.seed))
 
-    constants = _variance_constants(args, family, args.pi0, args.lambda_n)
+    constants = _variance_constants(args, family)
     report = covariance(family, xs, beta, **constants)
     rows: list[list] = [["kind", family.value], ["m", xs.shape[0]]]
     rows.extend(_variance_rows(report))

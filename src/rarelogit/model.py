@@ -230,16 +230,21 @@ class _Kernel:
         return float(self.wy @ eta - self.w @ tmp)
 
     def derivatives(self) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient and negative Hessian at the last theta given to objective."""
+        """Gradient and negative Hessian at the last theta given to objective.
+
+        Huge covariates can overflow them; _solve_newton rejects the
+        nonfinite result, so numpy's overflow warnings are not raised.
+        """
         e, p, phi = self.e, self.p, self.phi
-        np.add(1.0, e, out=phi)
-        np.divide(e, phi, out=p)  # e/(1 + e)
-        np.divide(p, phi, out=phi)  # e/(1 + e)^2 = p(1 - p)
-        np.subtract(1.0, p, out=p, where=self.eta >= 0.0)  # p = 1 - e/(1 + e)
-        np.subtract(self.wy, np.multiply(self.w, p, out=p), out=p)  # w(y - p)
-        np.multiply(self.zt, np.multiply(self.w, phi, out=phi), out=self.zv)
-        h = self.zv @ self.zt.T
-        return self.zt @ p, 0.5 * (h + h.T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add(1.0, e, out=phi)
+            np.divide(e, phi, out=p)  # e/(1 + e)
+            np.divide(p, phi, out=phi)  # e/(1 + e)^2 = p(1 - p)
+            np.subtract(1.0, p, out=p, where=self.eta >= 0.0)  # p = 1 - e/(1 + e)
+            np.subtract(self.wy, np.multiply(self.w, p, out=p), out=p)  # w(y - p)
+            np.multiply(self.zt, np.multiply(self.w, phi, out=phi), out=self.zv)
+            h = self.zv @ self.zt.T
+            return self.zt @ p, 0.5 * (h + h.T)
 
 
 def _evaluated(data: Dataset, weights: np.ndarray, theta: Coefficients) -> tuple:

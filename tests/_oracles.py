@@ -5,9 +5,20 @@ formulas, brute-force search, finite differences, quadrature) without
 touching the solver paths it is used to check.
 """
 
+import csv
+
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import expit
+
+
+def save_dataset_direct(path, data):
+    """Dataset CSV written value by value through csv.writer and f"{v:.17g}"."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["y"] + [f"x{j + 1}" for j in range(data.d)])
+        for i in range(data.n):
+            writer.writerow([str(int(data.y[i]))] + [f"{float(v):.17g}" for v in data.x[i]])
 
 
 def loglik_direct(x, y, w, alpha, beta):

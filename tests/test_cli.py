@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,92 @@ class TestDatasetIO:
         path = tmp_path / "xs.csv"
         path.write_text("x1\n1.5\n-2.25\n")
         assert_array_equal(load_covariates(str(path)), [[1.5], [-2.25]])
+
+    # row layouts both loaders accept; each body holds the rows (1, 0.5) and (0, 2)
+    LAYOUTS = {
+        "crlf": "1,0.5\r\n0,2\r\n",
+        "blank lines": "\n1,0.5\n\n\n0,2\n\n",
+        "no final newline": "1,0.5\n0,2",
+        "spaces around cells": " 1 ,  0.5\n0 , 2 \n",
+        "quoted cells": '1,"0.5"\n"0","2"\n',
+    }
+    # one bad row among good ones: each must be an input error
+    MALFORMED = {
+        "comment row": "1,0.5\n# note\n0,2\n",
+        "ragged row": "1,0.5\n0,2,3\n",
+        "empty cell": "1,\n0,2\n",
+        "non-numeric cell": "1,0.5\n0,abc\n",
+    }
+
+    @pytest.mark.parametrize("body", LAYOUTS.values(), ids=LAYOUTS.keys())
+    def test_loader_accepts_layout(self, tmp_path, body):
+        path = tmp_path / "d.csv"
+        path.write_bytes(("y,x1\n" + body).encode())
+        data = load_dataset(str(path))
+        assert_array_equal(data.x, [[0.5], [2.0]])
+        assert_array_equal(data.y, [1, 0])
+
+    @pytest.mark.parametrize("body", LAYOUTS.values(), ids=LAYOUTS.keys())
+    def test_covariate_loader_accepts_layout(self, tmp_path, body):
+        path = tmp_path / "xs.csv"
+        path.write_bytes(("x1,x2\n" + body).encode())
+        assert_array_equal(load_covariates(str(path)), [[1.0, 0.5], [0.0, 2.0]])
+
+    def test_header_only_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("y,x1\n")
+        with pytest.raises(ValueError, match="no data rows"):
+            load_dataset(str(path))
+        path.write_text("x1\n\n")
+        with pytest.raises(ValueError, match="no data rows"):
+            load_covariates(str(path))
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="expected header starting with 'y'"):
+            load_dataset(str(path))
+        with pytest.raises(ValueError, match="empty file"):
+            load_covariates(str(path))
+
+    @pytest.mark.parametrize(
+        "body", [*MALFORMED.values(), "1,nan\n0,2\n"], ids=[*MALFORMED, "nan cell"]
+    )
+    def test_malformed_rows_exit_2(self, tmp_path, body):
+        path = tmp_path / "d.csv"
+        path.write_text("y,x1\n" + body)
+        with pytest.raises(ValueError):
+            load_dataset(str(path))
+        code = run_cli(["fit", "--data", path, "--estimator", "full", "--out", tmp_path / "o.csv"])
+        assert code == 2
+
+    @pytest.mark.parametrize("body", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_covariate_loader_rejects_malformed_rows(self, tmp_path, body):
+        path = tmp_path / "xs.csv"
+        path.write_text("x1,x2\n" + body)
+        with pytest.raises(ValueError):
+            load_covariates(str(path))
+        out = tmp_path / "v.csv"
+        code = run_cli(["variance", "--kind", "full", "--beta", "1,1", "--xs", path, "--out", out])
+        assert code == 2
+
+    def test_nan_covariate_sample_is_a_numeric_failure(self, tmp_path, capsys):
+        # load_covariates does no finiteness check; the plug-in averages reject nan
+        path = tmp_path / "xs.csv"
+        path.write_text("x1\n1.0\nnan\n2.0\n")
+        assert np.isnan(load_covariates(str(path))[1, 0])
+        code = run_cli(["variance", "--kind", "full", "--beta", "1", "--xs", path, "--out", tmp_path / "v.csv"])
+        assert code == 3
+        assert "OverflowError" in capsys.readouterr().err
+
+    def test_digit_group_underscores_rejected(self, tmp_path):
+        # Python's float("1_0") is 10.0; numpy's parser takes no digit groups
+        path = tmp_path / "d.csv"
+        path.write_text("y,x1\n1,1_0\n0,2\n")
+        with pytest.raises(ValueError):
+            load_dataset(str(path))
+        code = run_cli(["fit", "--data", path, "--estimator", "full", "--out", tmp_path / "o.csv"])
+        assert code == 2
 
 
 class TestFitCommand:
@@ -150,6 +237,38 @@ class TestFitCommand:
             code = run_cli(["fit", "--data", path, "--estimator", "full", "--out", tmp_path / "o.csv"])
         assert code == 3
         assert "SingularHessianError" in capsys.readouterr().err
+
+    def test_overflow_reports_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text("y,x1\n1,1e200\n0,2e200\n1,-1e200\n0,3e200\n0,5e199\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(["fit", "--data", path, "--estimator", "full", "--out", tmp_path / "o.csv"])
+        assert code == 3
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("SingularHessianError: ")
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--estimator", "obc", "--lambda", 1, "--pi0", 7], "pi0 must be in (0, 1], got 7.0"),
+            (["--estimator", "uw", "--pi0", 0.5, "--lambda", -3], "lambda_n must be >= 0, got -3.0"),
+            (["--estimator", "full", "--pi0", 0], "pi0 must be in (0, 1], got 0.0"),
+        ],
+    )
+    def test_unused_rate_is_checked(self, mixed_csv, tmp_path, capsys, extra, message):
+        code = run_cli(["fit", "--data", mixed_csv, "--out", tmp_path / "o.csv"] + extra)
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"ValueError: {message}"
+
+    def test_rates_checked_before_reading_data(self, tmp_path, capsys):
+        code = run_cli([
+            "fit", "--data", tmp_path / "nope.csv", "--estimator", "full",
+            "--lambda", -1, "--out", tmp_path / "o.csv",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == "ValueError: lambda_n must be >= 0, got -1.0"
 
     def test_stdout_carries_only_result_path(self, balanced_csv, tmp_path, capsys):
         out = tmp_path / "fit.csv"
@@ -292,6 +411,29 @@ class TestVarianceCommand:
         code = run_cli(args + extra)
         assert code == 2
         assert capsys.readouterr().err.strip() == f"ValueError: {message}"
+
+    @pytest.mark.parametrize(
+        "kind, extra, message",
+        [
+            ("ow", ["--lambda", 2, "--alpha-t", -2, "--pi0", 5], "pi0 must be in (0, 1], got 5.0"),
+            ("under-w", ["--c", 0.5, "--lambda", -3], "lambda_n must be >= 0, got -3.0"),
+            ("full", ["--pi0", 1.5], "pi0 must be in (0, 1], got 1.5"),
+            ("full", ["--xs", "no-such-dir/xs.csv", "--lambda", -1], "lambda_n must be >= 0, got -1.0"),
+        ],
+    )
+    def test_unused_rate_is_checked(self, tmp_path, capsys, kind, extra, message):
+        args = ["variance", "--kind", kind, "--beta", "1", "--m", 50, "--out", tmp_path / "v.csv"]
+        code = run_cli(args + extra)
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"ValueError: {message}"
+
+    def test_unused_valid_rate_changes_nothing(self, tmp_path):
+        out_plain = tmp_path / "plain.csv"
+        out_extra = tmp_path / "extra.csv"
+        args = ["variance", "--kind", "ow", "--beta", "1", "--lambda", 2, "--alpha-t", -2, "--m", 500]
+        assert run_cli(args + ["--out", out_plain]) == 0
+        assert run_cli(args + ["--pi0", 0.5, "--out", out_extra]) == 0
+        assert out_plain.read_bytes() == out_extra.read_bytes()
 
     def test_singular_sample_exits_3(self, tmp_path, capsys):
         xs_path = tmp_path / "xs.csv"
