@@ -16,6 +16,7 @@ import argparse
 import csv
 import itertools
 import os
+import re
 import sys
 
 import numpy as np
@@ -88,13 +89,56 @@ def save_dataset(path: str, data: Dataset) -> None:
         fh.writelines(template % row for row in zip(*columns))
 
 
+def _parse_rows(lines) -> np.ndarray:
+    return np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2)
+
+
+def _data_lines(path: str):
+    """(line number, line) for each line of a CSV that _read_table parses as a row.
+
+    Lines are numbered from 1 at the header.  Blank lines before the first
+    row are skipped, as _read_table skips them, and empty lines after it,
+    as np.loadtxt skips them.
+    """
+    with open(path) as fh:
+        next(fh, None)
+        started = False
+        for k, line in enumerate(fh, start=2):
+            started = started or bool(line.strip())
+            if started and line != "\n":
+                yield k, line
+
+
+def _parse_error(path: str, err: ValueError) -> ValueError:
+    """err restated with the file and the line of the first row that does not parse.
+
+    Runs only after np.loadtxt failed: each row is parsed on its own, so
+    the line found is the file's own, not numpy's count of data rows.
+    """
+    columns = None
+    for k, line in _data_lines(path):
+        try:
+            cells = _parse_rows([line]).shape[1]
+        except ValueError as line_err:
+            reason = re.sub(r"\s+at row \d+.*$", "", str(line_err), flags=re.S)
+            return ValueError(f"{path}: line {k}: {reason}")
+        if columns is None:
+            columns = cells
+        elif cells != columns:
+            return ValueError(
+                f"{path}: line {k}: expected {columns} cells as on the first data line, found {cells}"
+            )
+    return ValueError(f"{path}: {err}")
+
+
 def _read_table(path: str, first_column: str | None) -> np.ndarray:
     """The data rows of a CSV with a header row, as an (n, columns) float array.
 
     The header is read by csv.reader and must start with first_column when
     that is given.  The rows go to one np.loadtxt call, which skips blank
-    lines and accepts quoted cells; a cell that is not a float literal or
-    a ragged row raises ValueError.
+    lines and accepts quoted cells.  A cell that is not a float literal, a
+    ragged row or a cell that is not finite raises ValueError naming the
+    file and the line.
     """
     with open(path) as fh:
         header = next(csv.reader(fh), None)
@@ -106,8 +150,15 @@ def _read_table(path: str, first_column: str | None) -> np.ndarray:
         if first_row is None:
             raise ValueError(f"{path}: no data rows")
         # the file's own line iterator parses faster than a string of the rows
-        rows = itertools.chain([first_row], fh)
-        return np.loadtxt(rows, delimiter=",", comments=None, quotechar='"', ndmin=2)
+        try:
+            table = _parse_rows(itertools.chain([first_row], fh))
+        except ValueError as err:
+            raise _parse_error(path, err) from None
+    if not np.isfinite(table).all():
+        row = int(np.argmin(np.isfinite(table).all(axis=1)))
+        k, _ = next(itertools.islice(_data_lines(path), row, None))
+        raise ValueError(f"{path}: line {k}: cells must be finite")
+    return table
 
 
 def load_dataset(path: str) -> Dataset:

@@ -169,12 +169,21 @@ def fit_estimator(
     data: Dataset,
     design: SampleDesign | None = None,
     settings: SolverSettings = SolverSettings(),
+    *,
+    start: Coefficients | None = None,
 ) -> FitResult:
     """Fit the estimator named by kind on a realized design.
 
     One weighted MLE over all n rows with the family's weights, then the
     family's exact intercept shift at the design's rate.  The design is
     ignored for the full-data estimator.
+
+    start, when given, is a point on the scale of the returned theta, such
+    as another estimator's estimate on the same data.  The solver starts at
+    start with the family's intercept shift taken back off (alpha - log(pi0)
+    for under-bc, alpha + log(1 + lambda_n) for over-bc), so every family
+    starts next to its own optimum.  By default it starts at the weighted
+    case log-odds (see fit_mle).
     """
     row = _ESTIMATORS[kind.tag]
     if row.design is None:
@@ -195,9 +204,12 @@ def fit_estimator(
         weights = design.indicators
         if row.inverse_probability:
             weights = weights / design.inclusion_weight
+    if start is not None and row.shift is not None:
+        start = Coefficients(start.alpha - row.shift(design.rate), start.beta)
     fit = fit_mle(
         data,
         weights,
+        init=start,
         tol=settings.tol,
         max_iter=settings.max_iter,
         divergence_bound=settings.divergence_bound,

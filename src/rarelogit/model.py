@@ -160,7 +160,9 @@ class FitResult:
     (the maximizer is invariant under positive rescaling of the weights);
     grad_max_norm and neg_hessian refer to that rescaled objective.
     neg_hessian is the negative Hessian at theta, a symmetric positive
-    semidefinite matrix.
+    semidefinite matrix.  evaluations counts objective evaluations: the
+    start point plus every line-search candidate, so it is iterations + 1
+    when no step was halved.
     """
 
     theta: Coefficients
@@ -168,6 +170,7 @@ class FitResult:
     iterations: int
     grad_max_norm: float
     neg_hessian: np.ndarray
+    evaluations: int
 
 
 def _check_weights(data: Dataset, weights: np.ndarray) -> np.ndarray:
@@ -348,6 +351,7 @@ def fit_mle(
     theta = _check_theta(data, init)
 
     obj = kernel.objective(theta)
+    evaluations = 1
     iterations = 0
     converged = False
     while True:
@@ -366,6 +370,7 @@ def fit_mle(
         for _ in range(MAX_HALVINGS + 1):
             cand = theta + scale * step
             cand_obj = kernel.objective(cand)
+            evaluations += 1
             if np.isfinite(cand_obj) and cand_obj >= obj - slack:
                 break
             scale *= 0.5
@@ -388,4 +393,5 @@ def fit_mle(
         iterations=iterations,
         grad_max_norm=grad_norm,
         neg_hessian=neg_hess,
+        evaluations=evaluations,
     )

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import warnings
 
 import numpy as np
@@ -144,14 +145,38 @@ class TestDatasetIO:
         code = run_cli(["variance", "--kind", "full", "--beta", "1,1", "--xs", path, "--out", out])
         assert code == 2
 
-    def test_nan_covariate_sample_is_a_numeric_failure(self, tmp_path, capsys):
-        # load_covariates does no finiteness check; the plug-in averages reject nan
+    def test_nan_covariate_sample_is_an_input_error(self, tmp_path, capsys):
         path = tmp_path / "xs.csv"
         path.write_text("x1\n1.0\nnan\n2.0\n")
-        assert np.isnan(load_covariates(str(path))[1, 0])
+        message = f"{path}: line 3: cells must be finite"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_covariates(str(path))
         code = run_cli(["variance", "--kind", "full", "--beta", "1", "--xs", path, "--out", tmp_path / "v.csv"])
-        assert code == 3
-        assert "OverflowError" in capsys.readouterr().err
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    # a bad row after a blank line, so the file's line number (4) is neither
+    # numpy's 0-based nor its 1-based count of data rows
+    BAD_ROWS = {
+        "ragged row": ("1,0.5\n\n0,2,3\n", "line 4: expected 2 cells as on the first data line, found 3"),
+        "non-numeric cell": ("1,0.5\n\n0,abc\n", "line 4: could not convert string 'abc'"),
+    }
+
+    @pytest.mark.parametrize("body, reason", BAD_ROWS.values(), ids=BAD_ROWS.keys())
+    @pytest.mark.parametrize("header", ["y,x1", "x1,x2"], ids=["dataset", "covariates"])
+    def test_parse_errors_name_the_file_and_line(self, tmp_path, capsys, header, body, reason):
+        path = tmp_path / "d.csv"
+        path.write_text(f"{header}\n{body}")
+        load = load_dataset if header.startswith("y") else load_covariates
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {reason}")) as err:
+            load(str(path))
+        assert "row" not in str(err.value) and "usecols" not in str(err.value)
+        if load is load_dataset:
+            argv = ["fit", "--data", path, "--estimator", "full"]
+        else:
+            argv = ["variance", "--kind", "full", "--beta", "1,1", "--xs", path]
+        assert run_cli(argv + ["--out", tmp_path / "o.csv"]) == 2
+        assert f"{path}: {reason}" in capsys.readouterr().err
 
     def test_digit_group_underscores_rejected(self, tmp_path):
         # Python's float("1_0") is 10.0; numpy's parser takes no digit groups
