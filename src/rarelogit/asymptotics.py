@@ -38,6 +38,7 @@ import numpy as np
 
 from .estimators import EstimatorFamily
 from .model import RareLogitError
+from .sampling import DesignKind
 
 __all__ = [
     "SCALING_LABEL",
@@ -161,28 +162,27 @@ def _sandwich(bread_inv: np.ndarray, meat: np.ndarray) -> np.ndarray:
 
 
 class _Sandwich(NamedTuple):
-    """Bread and meat integrands, the name of their constant k, and whether f(lam) applies."""
+    """Bread and meat integrands and the name of their constant k."""
 
     bread: MomentTransform
     meat: MomentTransform | None
     constant: str | None
-    inflated: bool
 
 
 _SANDWICHES = {
-    EstimatorFamily.FULL: _Sandwich("plain", None, None, False),
-    EstimatorFamily.UNDER_WEIGHTED: _Sandwich("plain", "times", "c", False),
-    EstimatorFamily.UNDER_BIAS_CORRECTED: _Sandwich("over", None, "c", False),
-    EstimatorFamily.OVER_WEIGHTED: _Sandwich("plain", None, None, True),
-    EstimatorFamily.OVER_BIAS_CORRECTED: _Sandwich("over", "over_sq", "c_o", True),
+    EstimatorFamily.FULL: _Sandwich("plain", None, None),
+    EstimatorFamily.UNDER_WEIGHTED: _Sandwich("plain", "times", "c"),
+    EstimatorFamily.UNDER_BIAS_CORRECTED: _Sandwich("over", None, "c"),
+    EstimatorFamily.OVER_WEIGHTED: _Sandwich("plain", None, None),
+    EstimatorFamily.OVER_BIAS_CORRECTED: _Sandwich("over", "over_sq", "c_o"),
 }
 
 
 def required_constants(family: EstimatorFamily) -> tuple[str, ...]:
     """Names of the constants covariance() needs for family, in checking order."""
-    row = _SANDWICHES[family]
-    names = ("lam",) if row.inflated else ()
-    return names if row.constant is None else names + (row.constant,)
+    constant = _SANDWICHES[family].constant
+    names = ("lam",) if family.design_kind is DesignKind.OVERSAMPLE else ()
+    return names if constant is None else names + (constant,)
 
 
 def covariance(
@@ -214,7 +214,7 @@ def covariance(
     else:
         meat, _ = moment_matrix(xs, beta, row.meat, k)
         v = e_mean * _sandwich(bread_inv, meat)
-    if row.inflated:
+    if family.design_kind is DesignKind.OVERSAMPLE:
         v = oversampling_variance_factor(used["lam"]) * v
     return VarianceReport(kind=family, v=v, **used)
 
@@ -275,12 +275,9 @@ def limit_constants(
     c = None
     c_o = None
     if pi0 is not None:
-        pi0 = float(pi0)
-        if not (0.0 < pi0 <= 1.0):
-            raise ValueError(f"pi0 must be in (0, 1], got {pi0}")
-        c = float(np.exp(alpha_t)) / pi0
+        c = float(np.exp(alpha_t)) / DesignKind.UNDERSAMPLE.check_rate(pi0)
     if lambda_n is not None:
-        c_o = _check_constant(lambda_n, "lambda_n") * float(np.exp(alpha_t))
+        c_o = DesignKind.OVERSAMPLE.check_rate(lambda_n) * float(np.exp(alpha_t))
     return c, c_o
 
 
@@ -334,4 +331,4 @@ def weighted_moment_inequality_check(vs: np.ndarray, hs: np.ndarray, tol: float 
     m0_inv = _sym_inverse(0.5 * (m0 + m0.T))
     lhs = _sandwich(m0_inv, 0.5 * (mh + mh.T))
     rhs = _sym_inverse(0.5 * (mih + mih.T))
-    return bool(np.min(np.linalg.eigvalsh(lhs - rhs)) >= -tol)
+    return loewner_ge(lhs, rhs, tol)

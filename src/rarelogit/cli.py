@@ -182,10 +182,10 @@ def _ints(text: str) -> list[int]:
 
 def _check_rates(args: argparse.Namespace) -> None:
     """Reject an out-of-range --pi0 or --lambda, whether the estimator uses it or not."""
-    if args.pi0 is not None and not 0.0 < args.pi0 <= 1.0:
-        raise ValueError(f"pi0 must be in (0, 1], got {args.pi0}")
-    if args.lambda_n is not None and not args.lambda_n >= 0.0:
-        raise ValueError(f"lambda_n must be >= 0, got {args.lambda_n}")
+    if args.pi0 is not None:
+        DesignKind.UNDERSAMPLE.check_rate(args.pi0)
+    if args.lambda_n is not None:
+        DesignKind.OVERSAMPLE.check_rate(args.lambda_n)
 
 
 def _estimator_kind(name: str, pi0: float | None, lambda_n: float | None) -> EstimatorKind:

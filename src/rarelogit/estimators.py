@@ -1,15 +1,15 @@
 """The five point estimators for rare-events logistic regression.
 
-Each estimator is one weighted logistic MLE plus an exact shift of the
-fitted intercept (King & Zeng's prior correction), both read off one table
-row per family:
+Each estimator is one weighted logistic MLE, plus an exact shift of the
+fitted intercept for the bias-corrected families.  With delta_i the counts
+of a realized design and pi(y) its inclusion probability (see sampling):
 
-    family    design       row weights                 intercept shift
-    full      none         1                           none
-    under-w   undersample  delta_i / pi_i              none
-    under-bc  undersample  delta_i                     +log(pi0)
-    over-w    oversample   tau_i / (1 + lambda_n y_i)  none
-    over-bc   oversample   tau_i                       -log(1 + lambda_n)
+    family    design       row weights        intercept shift
+    full      none         1                  none
+    under-w   undersample  delta_i / pi(y_i)  none
+    under-bc  undersample  delta_i            log(pi(0) / pi(1))
+    over-w    oversample   delta_i / pi(y_i)  none
+    over-bc   oversample   delta_i            log(pi(0) / pi(1))
 
 The solver drops rows of weight zero, so an under-sampled fit runs on the
 selected rows only.  The shift follows convergence, so diagnostics describe
@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,21 +67,18 @@ class EstimatorFamily(enum.Enum):
 
 
 class _Estimator(NamedTuple):
-    """Design, whether indicators are divided by inclusion weights, shift(rate)."""
+    """The family's design; weighted divides the counts by pi(y), else the intercept shifts."""
 
     design: DesignKind | None
-    inverse_probability: bool
-    shift: Callable[[float], float] | None
+    weighted: bool
 
 
 _ESTIMATORS = {
-    EstimatorFamily.FULL: _Estimator(None, False, None),
-    EstimatorFamily.UNDER_WEIGHTED: _Estimator(DesignKind.UNDERSAMPLE, True, None),
-    EstimatorFamily.UNDER_BIAS_CORRECTED: _Estimator(DesignKind.UNDERSAMPLE, False, math.log),
-    EstimatorFamily.OVER_WEIGHTED: _Estimator(DesignKind.OVERSAMPLE, True, None),
-    EstimatorFamily.OVER_BIAS_CORRECTED: _Estimator(
-        DesignKind.OVERSAMPLE, False, lambda lam: -math.log1p(lam)
-    ),
+    EstimatorFamily.FULL: _Estimator(None, False),
+    EstimatorFamily.UNDER_WEIGHTED: _Estimator(DesignKind.UNDERSAMPLE, True),
+    EstimatorFamily.UNDER_BIAS_CORRECTED: _Estimator(DesignKind.UNDERSAMPLE, False),
+    EstimatorFamily.OVER_WEIGHTED: _Estimator(DesignKind.OVERSAMPLE, True),
+    EstimatorFamily.OVER_BIAS_CORRECTED: _Estimator(DesignKind.OVERSAMPLE, False),
 }
 
 
@@ -100,12 +96,7 @@ class EstimatorKind:
             return
         if self.rate is None:
             raise ValueError(f"{self.tag.value} requires a sampling rate")
-        rate = float(self.rate)
-        if self.design_kind is DesignKind.UNDERSAMPLE and not (0.0 < rate <= 1.0):
-            raise ValueError(f"pi0 must be in (0, 1], got {rate}")
-        if self.design_kind is DesignKind.OVERSAMPLE and not rate >= 0.0:
-            raise ValueError(f"lambda_n must be >= 0, got {rate}")
-        object.__setattr__(self, "rate", rate)
+        object.__setattr__(self, "rate", self.design_kind.check_rate(self.rate))
 
     @property
     def design_kind(self) -> DesignKind | None:
@@ -175,17 +166,19 @@ def fit_estimator(
     """Fit the estimator named by kind on a realized design.
 
     One weighted MLE over all n rows with the family's weights, then the
-    family's exact intercept shift at the design's rate.  The design is
-    ignored for the full-data estimator.
+    family's exact intercept shift at the design's rate.  The weights and
+    the shift come from the design's kind, rate and indicators and the
+    labels; the design's stored inclusion_weight is not read.  The design
+    is ignored for the full-data estimator.
 
     start, when given, is a point on the scale of the returned theta, such
     as another estimator's estimate on the same data.  The solver starts at
-    start with the family's intercept shift taken back off (alpha - log(pi0)
-    for under-bc, alpha + log(1 + lambda_n) for over-bc), so every family
+    start with the family's intercept shift taken back off, so every family
     starts next to its own optimum.  By default it starts at the weighted
     case log-odds (see fit_mle).
     """
     row = _ESTIMATORS[kind.tag]
+    shift = None
     if row.design is None:
         weights = np.ones(data.n)
     else:
@@ -202,10 +195,12 @@ def fit_estimator(
                 f"no controls selected at pi0={design.rate:g} (n0={data.n0})"
             )
         weights = design.indicators
-        if row.inverse_probability:
-            weights = weights / design.inclusion_weight
-    if start is not None and row.shift is not None:
-        start = Coefficients(start.alpha - row.shift(design.rate), start.beta)
+        if row.weighted:
+            weights = weights / design.kind.inclusion_weight(design.rate, data.y)
+        else:
+            shift = design.kind.intercept_shift(design.rate)
+    if start is not None and shift is not None:
+        start = Coefficients(start.alpha - shift, start.beta)
     fit = fit_mle(
         data,
         weights,
@@ -214,7 +209,7 @@ def fit_estimator(
         max_iter=settings.max_iter,
         divergence_bound=settings.divergence_bound,
     )
-    if row.shift is None:
+    if shift is None:
         return fit
-    shifted = Coefficients(fit.theta.alpha + row.shift(design.rate), fit.theta.beta)
+    shifted = Coefficients(fit.theta.alpha + shift, fit.theta.beta)
     return dataclasses.replace(fit, theta=shifted)

@@ -12,7 +12,6 @@ convergent on this concave objective whenever the maximizer exists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -296,7 +295,6 @@ def fit_mle(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     divergence_bound: float = DEFAULT_DIVERGENCE_BOUND,
-    callback: Callable[[int, np.ndarray, float], None] | None = None,
 ) -> FitResult:
     """Maximize the weighted log-likelihood by damped Newton ascent.
 
@@ -317,20 +315,16 @@ def fit_mle(
     max_iter : maximum number of accepted Newton steps.
     divergence_bound : max-norm bound on iterates; crossing it raises
         SeparationError (the usual symptom of separated data).
-    callback : optional hook called as callback(iteration, theta_vec, objective)
-        after each accepted step.
 
     Raises
     ------
+    ValueError : malformed weights or init, or settings SolverSettings rejects.
     AllOneClassError : no positively weighted case or control.
     SeparationError : iterates escaped past divergence_bound.
     SingularHessianError : Newton system unsolvable at a non-stationary point.
     """
+    SolverSettings(tol, max_iter, divergence_bound)
     w_all = _check_weights(data, weights)
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
 
     # with every weight positive, a slice selects views instead of copies;
     # otherwise row indices gather the rows several times faster than a mask
@@ -384,8 +378,6 @@ def fit_mle(
                 f"iterate max-norm {np.max(np.abs(theta)):.3g} exceeded "
                 f"{divergence_bound:.3g}: data appear separated"
             )
-        if callback is not None:
-            callback(iterations, theta.copy(), obj)
 
     return FitResult(
         theta=Coefficients.from_vector(theta),

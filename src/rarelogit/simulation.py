@@ -169,26 +169,19 @@ def generate_marginal(
     return Dataset(x=x, y=y)
 
 
-def _quadrature_event_rate(alpha: float, beta: float, law: GaussianLaw) -> float:
-    """E_x expit(alpha + beta x) for a one-dimensional Gaussian law."""
-    mean, sd = law.means[0], law.sds[0]
+def _quadrature_event_rate(alpha: float, mean: float, sd: float) -> float:
+    """E expit(alpha + t) for t ~ N(mean, sd^2), by adaptive quadrature."""
     inv_sqrt2pi = 1.0 / math.sqrt(2.0 * math.pi)
 
     def integrand(t: float) -> float:
-        return float(expit(alpha + beta * (mean + sd * t))) * inv_sqrt2pi * math.exp(
-            -0.5 * t * t
-        )
+        return float(expit(alpha + mean + sd * t)) * inv_sqrt2pi * math.exp(-0.5 * t * t)
 
-    hints = []
-    if beta != 0.0:
-        crossing = -(alpha + beta * mean) / (beta * sd)
-        if abs(crossing) < QUAD_RANGE:
-            hints = [crossing]
+    crossing = -(alpha + mean) / sd
     value, _ = quad(
         integrand,
         -QUAD_RANGE,
         QUAD_RANGE,
-        points=hints or None,
+        points=[crossing] if abs(crossing) < QUAD_RANGE else None,
         limit=200,
         epsabs=0.0,
         epsrel=1e-11,
@@ -207,11 +200,14 @@ def calibrate_intercept(
     """Solve E_x[p(alpha, beta)] = target_rate for alpha by monotone bisection.
 
     The event rate is strictly increasing in alpha, so bisection over
-    [-50, 50] converges; the expectation is computed by adaptive quadrature
-    for one-dimensional Gaussian laws and otherwise by a fixed 10^7-draw
-    Monte Carlo sample (drawn once from rng and reused, so the solution is
-    exact for that sample's empirical law).  With an all-zero slope the
-    closed form log(rho/(1-rho)) is returned directly.
+    [-50, 50] converges; it stops at the first alpha whose rate is within
+    precision * target_rate of the target.  For the independent Gaussian
+    law, beta'x is exactly N(beta'mu, sum_j beta_j^2 sd_j^2), so "auto" and
+    "quadrature" compute the rate by adaptive quadrature over that normal.
+    "mc" uses a fixed 10^7-draw Monte Carlo sample instead (drawn once from
+    rng and reused, so the solution is exact for that sample's empirical
+    law).  With an all-zero slope the closed form log(rho/(1-rho)) is
+    returned directly.
     """
     beta = np.atleast_1d(np.asarray(beta, dtype=np.float64))
     if beta.shape != (law.dim,):
@@ -224,23 +220,21 @@ def calibrate_intercept(
         raise ValueError(f"unknown method {method!r}")
     if np.all(beta == 0.0):
         return math.log(target_rate / (1.0 - target_rate))
-    if method == "auto":
-        method = "quadrature" if law.dim == 1 else "mc"
 
-    if method == "quadrature":
-        if law.dim != 1:
-            raise ValueError("quadrature calibration supports d = 1 only")
-
-        def event_rate(alpha: float) -> float:
-            return _quadrature_event_rate(alpha, float(beta[0]), law)
-
-    else:
+    if method == "mc":
         if rng is None:
             raise ValueError("Monte Carlo calibration requires an rng")
         proj = law.sample(MC_CALIBRATION_DRAWS, rng) @ beta
 
         def event_rate(alpha: float) -> float:
             return float(np.mean(expit(alpha + proj)))
+
+    else:
+        mean = float(beta @ np.asarray(law.means))
+        sd = float(np.sqrt(np.sum((beta * np.asarray(law.sds)) ** 2)))
+
+        def event_rate(alpha: float) -> float:
+            return _quadrature_event_rate(alpha, mean, sd)
 
     lo, hi = ALPHA_BRACKET
     f_lo = event_rate(lo)
@@ -253,7 +247,7 @@ def calibrate_intercept(
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         f_mid = event_rate(mid)
-        if abs(f_mid - target_rate) <= precision:
+        if abs(f_mid - target_rate) <= precision * target_rate:
             return mid
         if f_mid < target_rate:
             lo = mid

@@ -186,3 +186,21 @@ class TestEstimatorKind:
             EstimatorKind(EstimatorFamily.OVER_WEIGHTED, 1.0), data, substream(0)
         )
         assert over.kind is DesignKind.OVERSAMPLE
+
+
+@pytest.mark.parametrize(
+    "fit, draw, rate", [(under_weighted, undersample, 0.3), (over_weighted, oversample, 2.0)]
+)
+def test_weighted_fit_reads_kind_rate_labels_and_indicators_only(fit, draw, rate):
+    # reordering the stored inclusion weights keeps the design valid (each
+    # entry is still one of the rate's two values) and leaves the fit unchanged
+    data = simulated_data(21, n=300, rate=0.25)
+    design = draw(data, rate, substream(22))
+    reordered = SampleDesign(
+        kind=design.kind,
+        rate=design.rate,
+        indicators=design.indicators,
+        inclusion_weight=design.inclusion_weight[::-1],
+    )
+    assert not np.array_equal(reordered.inclusion_weight, design.inclusion_weight)
+    assert_fits_identical(fit(data, reordered), fit(data, design))

@@ -184,8 +184,14 @@ class TestFitMle:
     def test_monotone_ascent(self):
         rng = np.random.default_rng(5)
         data, w, _ = random_instance(rng, n=60, d=2)
-        objectives = []
-        fit_mle(data, w, callback=lambda i, t, obj: objectives.append(obj))
+        steps = fit_mle(data, w).iterations
+        # a fit capped at k steps stops at the k-th iterate of the uncapped fit;
+        # its objective is the solver's, on the max-rescaled weights
+        objectives = [
+            log_likelihood(data, w / w.max(), fit_mle(data, w, max_iter=k).theta)
+            for k in range(1, steps + 1)
+        ]
+        assert len(objectives) >= 2
         eps = np.finfo(float).eps
         for prev, curr in zip(objectives, objectives[1:]):
             # nondecreasing up to the float resolution of the objective
@@ -258,6 +264,14 @@ class TestFitMle:
             fit_mle(data, np.ones(2), tol=0.0)
         with pytest.raises(ValueError):
             fit_mle(data, np.ones(2), max_iter=0)
+
+    @pytest.mark.parametrize("bound", [0.0, -1.0, np.nan])
+    def test_bad_divergence_bound_rejected(self, bound):
+        # rejected as SolverSettings rejects it, not read as separated data
+        # (0, -1) or as no bound at all (nan)
+        data, w, _ = random_instance(np.random.default_rng(8), n=40, d=1)
+        with pytest.raises(ValueError, match="divergence_bound must be positive"):
+            fit_mle(data, w, divergence_bound=bound)
 
 
 class TestDomainTypes:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -194,6 +196,54 @@ class TestSampleDesignValidation:
                 indicators=np.array([1, 1]),
                 inclusion_weight=np.array([1.0]),
             )
+
+    @pytest.mark.parametrize(
+        "kind, rate, weights",
+        [
+            (DesignKind.UNDERSAMPLE, 0.5, [1.0, 1.0, 0.01]),
+            (DesignKind.UNDERSAMPLE, 0.5, [1.0, 0.5, 0.75]),
+            (DesignKind.OVERSAMPLE, 2.0, [3.0, 1.0, 2.0]),
+            (DesignKind.OVERSAMPLE, 2.0, [3.0, 1.0, 4.0]),
+        ],
+    )
+    def test_inclusion_weights_are_the_rates_two_values(self, kind, rate, weights):
+        # pi(y) is pi(0) or pi(1) at the design's own rate; any other entry
+        # would make the weighted and bias-corrected fits disagree on the rate
+        with pytest.raises(ValueError, match="inclusion weights must be"):
+            SampleDesign(
+                kind=kind,
+                rate=rate,
+                indicators=np.array([1, 1, 1]),
+                inclusion_weight=np.array(weights),
+            )
+
+
+class TestDesignKindRules:
+    @pytest.mark.parametrize(
+        "kind, rate, message",
+        [
+            (DesignKind.UNDERSAMPLE, 0.0, "pi0 must be in (0, 1], got 0.0"),
+            (DesignKind.UNDERSAMPLE, 1.5, "pi0 must be in (0, 1], got 1.5"),
+            (DesignKind.UNDERSAMPLE, math.nan, "pi0 must be in (0, 1], got nan"),
+            (DesignKind.OVERSAMPLE, -0.5, "lambda_n must be >= 0, got -0.5"),
+            (DesignKind.OVERSAMPLE, math.nan, "lambda_n must be >= 0, got nan"),
+        ],
+    )
+    def test_check_rate_rejects(self, kind, rate, message):
+        with pytest.raises(ValueError) as err:
+            kind.check_rate(rate)
+        assert str(err.value) == message
+
+    def test_inclusion_weight_is_pi_of_y(self):
+        y = np.array([1, 0, 0, 1])
+        assert_array_equal(DesignKind.UNDERSAMPLE.inclusion_weight(0.2, y), [1.0, 0.2, 0.2, 1.0])
+        assert_array_equal(DesignKind.OVERSAMPLE.inclusion_weight(3.0, y), [4.0, 1.0, 1.0, 4.0])
+
+    def test_intercept_shift_is_log_pi_ratio(self):
+        assert DesignKind.UNDERSAMPLE.intercept_shift(0.05) == math.log(0.05)
+        assert DesignKind.OVERSAMPLE.intercept_shift(6.39) == -math.log1p(6.39)
+        assert DesignKind.UNDERSAMPLE.intercept_shift(1.0) == 0.0
+        assert DesignKind.OVERSAMPLE.intercept_shift(0.0) == 0.0
 
 
 def _pooled_counts(values, support, pmf, total):

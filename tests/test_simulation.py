@@ -41,6 +41,18 @@ def event_rate_by_quadrature(alpha, beta, mean=0.0, sd=1.0):
     return value
 
 
+def rare_event_rate(alpha, mean, var):
+    """E expit(alpha + t) for t ~ N(mean, var), by its series in q = e^(alpha + t).
+
+    expit(u) = q - q^2 + q^3 - q^4 / (1 + q) and E q^k = exp(k (alpha + mean)
+    + k^2 var / 2), so the error of the three-term sum is at most E q^4,
+    negligible against the sum when that is rare.
+    """
+    return sum(
+        (-1) ** (k + 1) * math.exp(k * (alpha + mean) + k * k * var / 2) for k in (1, 2, 3)
+    )
+
+
 class TestGenerateConditional:
     def test_induced_coefficients_closed_form(self):
         _, theta = generate_conditional(10, 0.02, 1.0, 0.0, 1.0, substream(0))
@@ -157,6 +169,19 @@ class TestCalibrateIntercept:
     def test_mc_requires_rng(self):
         with pytest.raises(ValueError):
             calibrate_intercept([1.0, 1.0], GaussianLaw.standard(2), 0.05, method="mc")
+
+    @pytest.mark.parametrize("rate", [1e-6, 1e-8, 1e-12])
+    def test_precision_is_relative_to_the_rate(self, rate):
+        # the achieved rate is within precision * rate of the target, however rare
+        alpha = calibrate_intercept([1.0], GaussianLaw.standard(1), rate)
+        assert abs(rare_event_rate(alpha, 0.0, 1.0) - rate) <= 2e-8 * rate
+
+    @pytest.mark.parametrize("method", ["auto", "quadrature"])
+    def test_quadrature_for_any_dimension(self, method):
+        # beta'x ~ N(1*0 - 0.5*0.5, 1^2 + 0.5^2 * 2^2) exactly, so no rng is needed
+        law = GaussianLaw(means=(0.0, 0.5), sds=(1.0, 2.0))
+        alpha = calibrate_intercept([1.0, -0.5], law, 1e-6, method=method)
+        assert abs(rare_event_rate(alpha, -0.25, 2.0) - 1e-6) <= 2e-8 * 1e-6
 
 
 class TestEmse:
