@@ -259,6 +259,8 @@ def _check_constant(value: float, name: str) -> float:
     value = float(value)
     if not value >= 0.0:
         raise ValueError(f"{name} must be >= 0, got {value}")
+    if value == np.inf:
+        raise ValueError(f"{name} must be finite, got {value}")
     return value
 
 
@@ -272,12 +274,13 @@ def limit_constants(
     alpha_t = float(alpha_t)
     if not np.isfinite(alpha_t):
         raise ValueError("alpha_t must be finite")
-    c = None
-    c_o = None
-    if pi0 is not None:
-        c = float(np.exp(alpha_t)) / DesignKind.UNDERSAMPLE.check_rate(pi0)
-    if lambda_n is not None:
-        c_o = DesignKind.OVERSAMPLE.check_rate(lambda_n) * float(np.exp(alpha_t))
+    with np.errstate(over="ignore"):
+        e = float(np.exp(alpha_t))
+    c = None if pi0 is None else e / DesignKind.UNDERSAMPLE.check_rate(pi0)
+    c_o = None if lambda_n is None else DesignKind.OVERSAMPLE.check_rate(lambda_n) * e
+    for name, value in (("c", c), ("c_o", c_o)):
+        if value is not None and not np.isfinite(value):
+            raise ValueError(f"limit constant {name} overflows at alpha_t={alpha_t:g}")
     return c, c_o
 
 

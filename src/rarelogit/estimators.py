@@ -168,8 +168,7 @@ def fit_estimator(
     One weighted MLE over all n rows with the family's weights, then the
     family's exact intercept shift at the design's rate.  The weights and
     the shift come from the design's kind, rate and indicators and the
-    labels; the design's stored inclusion_weight is not read.  The design
-    is ignored for the full-data estimator.
+    labels.  The design is ignored for the full-data estimator.
 
     start, when given, is a point on the scale of the returned theta, such
     as another estimator's estimate on the same data.  The solver starts at

@@ -143,10 +143,10 @@ class SolverSettings:
     divergence_bound: float = DEFAULT_DIVERGENCE_BOUND
 
     def __post_init__(self) -> None:
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if not self.divergence_bound > 0:
             raise ValueError("divergence_bound must be positive")
 

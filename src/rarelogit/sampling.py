@@ -13,8 +13,9 @@ these rules:
     undersample  pi0        pi0 + (1 - pi0) y   log(pi0)
     oversample   lambda_n   1 + lambda_n y      -log(1 + lambda_n)
 
-A realized plan is stored as counts plus their pi(y) for all n rows, so
-the design stays index-aligned with its parent dataset.
+A realized plan is its kind, its rate and one count per row of its parent
+dataset, index-aligned with it.  It stores no pi(y): a fit computes pi(y)
+from the kind and rate, so the two cannot disagree.
 """
 
 from __future__ import annotations
@@ -67,6 +68,8 @@ class DesignKind(enum.Enum):
                 raise ValueError(f"pi0 must be in (0, 1], got {rate}")
         elif not rate >= 0.0:
             raise ValueError(f"lambda_n must be >= 0, got {rate}")
+        elif rate == math.inf:
+            raise ValueError(f"lambda_n must be finite, got {rate}")
         return rate
 
     def inclusion_weight(self, rate: float, y: np.ndarray) -> np.ndarray:
@@ -84,37 +87,33 @@ class DesignKind(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class SampleDesign:
-    """A realized sampling plan.
+    """A realized sampling plan: its kind, its rate and a count for every row.
 
     indicators[i] is the number of times row i enters the subsample: 0/1
     selection flags for under-sampling, replication counts >= 1 for
-    over-sampling.  inclusion_weight[i] is pi(y_i), the conditional
-    expectation of indicators[i] given the data, so each entry is one of
-    the rate's two values pi(0) and pi(1).
+    over-sampling.  Its conditional expectation given the data is pi(y_i),
+    which DesignKind.inclusion_weight computes from the kind and rate.
     """
 
     kind: DesignKind
     rate: float
     indicators: np.ndarray
-    inclusion_weight: np.ndarray
 
     def __post_init__(self) -> None:
         rate = self.kind.check_rate(self.rate)
-        ind = np.asarray(self.indicators, dtype=np.int64)
-        wgt = np.asarray(self.inclusion_weight, dtype=np.float64)
-        if ind.ndim != 1 or wgt.shape != ind.shape:
-            raise ValueError("indicators and inclusion_weight must be equal-length vectors")
+        ind = np.asarray(self.indicators)
+        if ind.ndim != 1:
+            raise ValueError(f"indicators must be a vector, got ndim={ind.ndim}")
+        if ind.dtype.kind not in "biu" and not np.all(np.isfinite(ind) & (ind == np.floor(ind))):
+            raise ValueError("indicators must be finite whole-number counts")
+        ind = np.asarray(ind, dtype=np.int64)
         if self.kind is DesignKind.UNDERSAMPLE:
             if not np.all((ind == 0) | (ind == 1)):
                 raise ValueError("under-sampling indicators must be 0/1")
         elif not np.all(ind >= 1):
             raise ValueError("over-sampling counts must be >= 1")
-        control, case = self.kind.inclusion_weight(rate, np.arange(2))
-        if not np.all((wgt == control) | (wgt == case)):
-            raise ValueError(f"inclusion weights must be pi(0)={control:g} or pi(1)={case:g}")
         object.__setattr__(self, "rate", rate)
         object.__setattr__(self, "indicators", ind)
-        object.__setattr__(self, "inclusion_weight", wgt)
 
     @property
     def n(self) -> int:
@@ -131,8 +130,7 @@ def undersample(data: Dataset, pi0: float, rng: np.random.Generator) -> SampleDe
     pi0 = kind.check_rate(pi0)
     u = rng.random(data.n)
     ind = np.where(data.y == 1, 1, (u <= pi0).astype(np.int64))
-    wgt = kind.inclusion_weight(pi0, data.y)
-    return SampleDesign(kind=kind, rate=pi0, indicators=ind, inclusion_weight=wgt)
+    return SampleDesign(kind=kind, rate=pi0, indicators=ind)
 
 
 def oversample(data: Dataset, lambda_n: float, rng: np.random.Generator) -> SampleDesign:
@@ -145,8 +143,7 @@ def oversample(data: Dataset, lambda_n: float, rng: np.random.Generator) -> Samp
     lambda_n = kind.check_rate(lambda_n)
     v = rng.poisson(lam=lambda_n, size=data.n)
     ind = data.y * v + 1
-    wgt = kind.inclusion_weight(lambda_n, data.y)
-    return SampleDesign(kind=kind, rate=lambda_n, indicators=ind, inclusion_weight=wgt)
+    return SampleDesign(kind=kind, rate=lambda_n, indicators=ind)
 
 
 def effective_sample_size(design: SampleDesign) -> int:

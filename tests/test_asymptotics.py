@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -218,6 +220,32 @@ class TestFactorAndConstants:
             limit_constants(-6.0, pi0=1.5)
         with pytest.raises(ValueError):
             limit_constants(-6.0, lambda_n=-1.0)
+        with pytest.raises(ValueError, match="lambda_n must be finite, got inf"):
+            limit_constants(-6.0, lambda_n=np.inf)
+
+    @pytest.mark.parametrize(
+        "alpha_t, rates, name",
+        [
+            (800.0, {"pi0": 0.5}, "c"),
+            (800.0, {"lambda_n": 0.0}, "c_o"),
+            (709.0, {"pi0": 1e-10}, "c"),
+            (709.0, {"lambda_n": 1e10}, "c_o"),
+        ],
+    )
+    def test_limit_constant_overflow_is_an_input_error(self, alpha_t, rates, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"limit constant {name} overflows"):
+                limit_constants(alpha_t, **rates)
+
+    def test_infinite_constants_rejected(self):
+        xs = substream(5).standard_normal((50, 1))
+        with pytest.raises(ValueError, match="lam must be finite, got inf"):
+            oversampling_variance_factor(np.inf)
+        with pytest.raises(ValueError, match="c must be finite, got inf"):
+            v_under_bc(xs, BETA, np.inf)
+        with pytest.raises(ValueError, match="c_o must be finite, got inf"):
+            v_over_bc(xs, BETA, 2.0, np.inf)
 
 
 class TestLoewnerOrder:

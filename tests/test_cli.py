@@ -295,6 +295,19 @@ class TestFitCommand:
         assert code == 2
         assert capsys.readouterr().err.strip() == "ValueError: lambda_n must be >= 0, got -1.0"
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--estimator", "full", "--tol", "inf"], "tol must be positive and finite, got inf"),
+            (["--estimator", "over-w", "--lambda", "inf"], "lambda_n must be finite, got inf"),
+        ],
+    )
+    def test_infinite_setting_is_an_input_error(self, mixed_csv, tmp_path, capsys, extra, message):
+        # tol=inf would report the start point as a converged MLE
+        code = run_cli(["fit", "--data", mixed_csv, "--out", tmp_path / "o.csv"] + extra)
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"ValueError: {message}"
+
     def test_stdout_carries_only_result_path(self, balanced_csv, tmp_path, capsys):
         out = tmp_path / "fit.csv"
         run_cli(["fit", "--data", balanced_csv, "--estimator", "full", "--out", out])
@@ -450,6 +463,25 @@ class TestVarianceCommand:
         args = ["variance", "--kind", kind, "--beta", "1", "--m", 50, "--out", tmp_path / "v.csv"]
         code = run_cli(args + extra)
         assert code == 2
+        assert capsys.readouterr().err.strip() == f"ValueError: {message}"
+
+    @pytest.mark.parametrize(
+        "kind, extra, message",
+        [
+            ("ow", ["--lambda", "inf"], "lambda_n must be finite, got inf"),
+            ("ubc", ["--c", "inf"], "c must be finite, got inf"),
+            ("obc", ["--lambda", 2, "--c-o", "inf"], "c_o must be finite, got inf"),
+            ("uw", ["--alpha-t", 800, "--pi0", 0.5], "limit constant c overflows at alpha_t=800"),
+            ("obc", ["--alpha-t", 800, "--lambda", 2], "limit constant c_o overflows at alpha_t=800"),
+        ],
+    )
+    def test_infinite_constant_is_an_input_error(self, tmp_path, capsys, kind, extra, message):
+        args = ["variance", "--kind", kind, "--beta", "1", "--m", 50, "--out", tmp_path / "v.csv"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(args + extra)
+        assert code == 2
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert capsys.readouterr().err.strip() == f"ValueError: {message}"
 
     def test_unused_valid_rate_changes_nothing(self, tmp_path):

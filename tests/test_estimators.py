@@ -92,7 +92,7 @@ class TestUnderSampling:
         design = undersample(data, 0.3, substream(14))
         mask = design.indicators == 1
         sub = Dataset(x=data.x[mask], y=data.y[mask])
-        direct = fit_mle(sub, 1.0 / design.inclusion_weight[mask])
+        direct = fit_mle(sub, 1.0 / np.where(sub.y == 1, 1.0, 0.3))
         assert_fits_identical(under_weighted(data, design), direct)
 
     def test_no_controls_selected(self):
@@ -101,7 +101,6 @@ class TestUnderSampling:
             kind=DesignKind.UNDERSAMPLE,
             rate=0.01,
             indicators=np.array([1, 1, 1, 0]),
-            inclusion_weight=np.array([1.0, 1.0, 1.0, 0.01]),
         )
         with pytest.raises(NoControlsSelectedError):
             under_weighted(data, design)
@@ -120,19 +119,19 @@ class TestOverSampling:
         data = simulated_data(7, n=300, rate=0.2)
         lam = 2.0
         design = oversample(data, lam, substream(16))
-        direct = fit_mle(data, design.indicators / design.inclusion_weight)
+        direct = fit_mle(data, design.indicators / np.where(data.y == 1, 3.0, 1.0))
         assert_fits_identical(over_weighted(data, design), direct)
 
     def test_case_without_extra_copies_gets_downweighted(self):
         # tau = 1 for a case means weight 1/(1+lam) < 1 in the weighted fit
         lam = 2.0
+        y = np.array([1, 1, 0, 0])
         design = SampleDesign(
             kind=DesignKind.OVERSAMPLE,
             rate=lam,
             indicators=np.array([1, 4, 1, 1]),
-            inclusion_weight=np.array([3.0, 3.0, 1.0, 1.0]),
         )
-        weights = design.indicators / design.inclusion_weight
+        weights = design.indicators / design.kind.inclusion_weight(design.rate, y)
         assert weights[0] == pytest.approx(1.0 / 3.0)
         assert weights[0] < 1.0
 
@@ -187,20 +186,3 @@ class TestEstimatorKind:
         )
         assert over.kind is DesignKind.OVERSAMPLE
 
-
-@pytest.mark.parametrize(
-    "fit, draw, rate", [(under_weighted, undersample, 0.3), (over_weighted, oversample, 2.0)]
-)
-def test_weighted_fit_reads_kind_rate_labels_and_indicators_only(fit, draw, rate):
-    # reordering the stored inclusion weights keeps the design valid (each
-    # entry is still one of the rate's two values) and leaves the fit unchanged
-    data = simulated_data(21, n=300, rate=0.25)
-    design = draw(data, rate, substream(22))
-    reordered = SampleDesign(
-        kind=design.kind,
-        rate=design.rate,
-        indicators=design.indicators,
-        inclusion_weight=design.inclusion_weight[::-1],
-    )
-    assert not np.array_equal(reordered.inclusion_weight, design.inclusion_weight)
-    assert_fits_identical(fit(data, reordered), fit(data, design))

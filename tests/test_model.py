@@ -11,6 +11,7 @@ from rarelogit import (
     RareLogitError,
     SeparationError,
     SingularHessianError,
+    SolverSettings,
     fit_mle,
     gradient,
     hessian,
@@ -264,6 +265,20 @@ class TestFitMle:
             fit_mle(data, np.ones(2), tol=0.0)
         with pytest.raises(ValueError):
             fit_mle(data, np.ones(2), max_iter=0)
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"tol": np.inf}, "tol must be positive and finite"),
+            ({"max_iter": np.nan}, "max_iter must be an integer"),
+            ({"max_iter": 2.5}, "max_iter must be an integer"),
+            ({"max_iter": np.inf}, "max_iter must be an integer"),
+        ],
+    )
+    def test_nonfinite_tol_and_noninteger_max_iter_rejected(self, settings, message):
+        # tol=inf stops at the start point; max_iter=nan never stops the loop
+        with pytest.raises(ValueError, match=message):
+            SolverSettings(**settings)
 
     @pytest.mark.parametrize("bound", [0.0, -1.0, np.nan])
     def test_bad_divergence_bound_rejected(self, bound):

@@ -41,7 +41,6 @@ class TestUndersample:
         data = toy_data()
         design = undersample(data, 1.0, substream(0))
         assert_array_equal(design.indicators, np.ones(data.n, dtype=int))
-        assert_array_equal(design.inclusion_weight, np.ones(data.n))
 
     def test_cases_always_kept(self):
         data = toy_data(n1=8, n0=40)
@@ -53,7 +52,7 @@ class TestUndersample:
         data = toy_data()
         design = undersample(data, 0.3, substream(1))
         expected = np.where(data.y == 1, 1.0, 0.3)
-        assert_array_equal(design.inclusion_weight, expected)
+        assert_array_equal(design.kind.inclusion_weight(design.rate, data.y), expected)
 
     def test_control_count_matches_binomial_mean(self):
         # controls kept ~ Binomial(n0, pi0): mean n0*pi0 = 500
@@ -93,7 +92,6 @@ class TestUndersample:
         a = undersample(data, 0.4, substream(9, 1))
         b = undersample(data, 0.4, substream(9, 1))
         assert_array_equal(a.indicators, b.indicators)
-        assert_array_equal(a.inclusion_weight, b.inclusion_weight)
 
 
 class TestOversample:
@@ -101,7 +99,6 @@ class TestOversample:
         data = toy_data()
         design = oversample(data, 0.0, substream(0))
         assert_array_equal(design.indicators, np.ones(data.n, dtype=int))
-        assert_array_equal(design.inclusion_weight, np.ones(data.n))
 
     def test_controls_never_replicated(self):
         data = toy_data(n1=6, n0=30)
@@ -115,7 +112,7 @@ class TestOversample:
         lam = 3.48
         design = oversample(data, lam, substream(2))
         expected = np.where(data.y == 1, 1.0 + lam, 1.0)
-        assert_array_equal(design.inclusion_weight, expected)
+        assert_array_equal(design.kind.inclusion_weight(design.rate, data.y), expected)
 
     def test_extra_copies_match_poisson_moments(self):
         # total extra copies over n1 = 2000 cases: mean and variance n1*lam
@@ -176,7 +173,6 @@ class TestSampleDesignValidation:
                 kind=DesignKind.UNDERSAMPLE,
                 rate=0.5,
                 indicators=np.array([0, 2]),
-                inclusion_weight=np.array([0.5, 1.0]),
             )
 
     def test_oversample_minimum_count(self):
@@ -185,37 +181,32 @@ class TestSampleDesignValidation:
                 kind=DesignKind.OVERSAMPLE,
                 rate=1.0,
                 indicators=np.array([0, 1]),
-                inclusion_weight=np.array([1.0, 2.0]),
             )
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
+        # counts are one flat vector, one entry per row of the dataset
+        with pytest.raises(ValueError, match="indicators must be a vector"):
             SampleDesign(
                 kind=DesignKind.UNDERSAMPLE,
                 rate=0.5,
-                indicators=np.array([1, 1]),
-                inclusion_weight=np.array([1.0]),
+                indicators=np.array([[1, 0], [1, 1]]),
             )
 
     @pytest.mark.parametrize(
-        "kind, rate, weights",
+        "kind, counts",
         [
-            (DesignKind.UNDERSAMPLE, 0.5, [1.0, 1.0, 0.01]),
-            (DesignKind.UNDERSAMPLE, 0.5, [1.0, 0.5, 0.75]),
-            (DesignKind.OVERSAMPLE, 2.0, [3.0, 1.0, 2.0]),
-            (DesignKind.OVERSAMPLE, 2.0, [3.0, 1.0, 4.0]),
+            (DesignKind.OVERSAMPLE, [1.9, 3.7, 1.0]),
+            (DesignKind.UNDERSAMPLE, [1.0, 0.5, 0.0]),
+            (DesignKind.OVERSAMPLE, [1.0, math.nan, 2.0]),
+            (DesignKind.OVERSAMPLE, [1.0, math.inf, 2.0]),
         ],
     )
-    def test_inclusion_weights_are_the_rates_two_values(self, kind, rate, weights):
-        # pi(y) is pi(0) or pi(1) at the design's own rate; any other entry
-        # would make the weighted and bias-corrected fits disagree on the rate
-        with pytest.raises(ValueError, match="inclusion weights must be"):
-            SampleDesign(
-                kind=kind,
-                rate=rate,
-                indicators=np.array([1, 1, 1]),
-                inclusion_weight=np.array(weights),
-            )
+    def test_fractional_or_nonfinite_counts_rejected(self, kind, counts):
+        # checked before the int cast, which would truncate 1.9 to 1 and
+        # turn nan into an arbitrary integer with a RuntimeWarning
+        rate = 2.0 if kind is DesignKind.OVERSAMPLE else 0.5
+        with pytest.raises(ValueError, match="indicators must be finite whole-number counts"):
+            SampleDesign(kind=kind, rate=rate, indicators=np.array(counts))
 
 
 class TestDesignKindRules:
@@ -227,6 +218,7 @@ class TestDesignKindRules:
             (DesignKind.UNDERSAMPLE, math.nan, "pi0 must be in (0, 1], got nan"),
             (DesignKind.OVERSAMPLE, -0.5, "lambda_n must be >= 0, got -0.5"),
             (DesignKind.OVERSAMPLE, math.nan, "lambda_n must be >= 0, got nan"),
+            (DesignKind.OVERSAMPLE, math.inf, "lambda_n must be finite, got inf"),
         ],
     )
     def test_check_rate_rejects(self, kind, rate, message):
@@ -238,6 +230,9 @@ class TestDesignKindRules:
         y = np.array([1, 0, 0, 1])
         assert_array_equal(DesignKind.UNDERSAMPLE.inclusion_weight(0.2, y), [1.0, 0.2, 0.2, 1.0])
         assert_array_equal(DesignKind.OVERSAMPLE.inclusion_weight(3.0, y), [4.0, 1.0, 1.0, 4.0])
+        # the degenerate rates weigh every row by one
+        assert_array_equal(DesignKind.UNDERSAMPLE.inclusion_weight(1.0, y), np.ones(4))
+        assert_array_equal(DesignKind.OVERSAMPLE.inclusion_weight(0.0, y), np.ones(4))
 
     def test_intercept_shift_is_log_pi_ratio(self):
         assert DesignKind.UNDERSAMPLE.intercept_shift(0.05) == math.log(0.05)

@@ -137,7 +137,6 @@ class TestEstimatorTable:
                 kind=design.kind,
                 rate=design.rate,
                 indicators=design.indicators[perm],
-                inclusion_weight=design.inclusion_weight[perm],
             )
             for family in (F.FULL, *families):
                 kind = EstimatorKind(family, None if family is F.FULL else design.rate)
