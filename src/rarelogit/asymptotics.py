@@ -113,8 +113,10 @@ def moment_matrix(
     """Plug-in moment matrix over xs, plus the average of exp(beta'x).
 
     transform selects the integrand listed in the module docstring;
-    constant is its k.  Exponents beyond 700 in magnitude (or a nonfinite
-    integrand) raise OverflowError instead of propagating infinities.
+    constant is its k.  Exponents beyond 700 in magnitude raise
+    OverflowError, and so does an integrand that overflows, with no numpy
+    warning.  For "over" and "over_sq" that includes 1 + k e (or its
+    square) overflowing, which would turn their weights into zeros, not infs.
     """
     xs, beta = _as_sample(xs, beta)
     constant = _check_constant(constant, "constant")
@@ -125,22 +127,27 @@ def moment_matrix(
             "average would overflow"
         )
     e = np.exp(expo)
-    if transform == "plain":
-        wgt = e
-    elif transform == "times":
-        wgt = e * (1.0 + constant * e)
-    elif transform == "over":
-        wgt = e / (1.0 + constant * e)
-    elif transform == "over_sq":
-        wgt = e / (1.0 + constant * e) ** 2
-    else:
-        raise ValueError(f"unknown transform {transform!r}")
-    if not np.all(np.isfinite(wgt)):
+    # 1 + k e is largest where e is; a Python float overflows to inf silently
+    peak = 1.0 + constant * float(np.max(e)) if transform != "plain" else 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        if transform == "plain":
+            wgt = e
+        elif transform == "times":
+            wgt = e * (1.0 + constant * e)
+        elif transform == "over":
+            wgt = e / (1.0 + constant * e)
+        elif transform == "over_sq":
+            wgt = e / (1.0 + constant * e) ** 2
+            peak *= peak
+        else:
+            raise ValueError(f"unknown transform {transform!r}")
+        m = xs.shape[0]
+        z = np.hstack([np.ones((m, 1)), xs])
+        mat = (z * wgt[:, None]).T @ z / m
+        e_mean = float(np.mean(e))
+    if not (np.isfinite(peak) and np.isfinite(e_mean) and np.all(np.isfinite(mat))):
         raise OverflowError("nonfinite integrand in the plug-in average")
-    m = xs.shape[0]
-    z = np.hstack([np.ones((m, 1)), xs])
-    mat = (z * wgt[:, None]).T @ z / m
-    return 0.5 * (mat + mat.T), float(np.mean(e))
+    return 0.5 * (mat + mat.T), e_mean
 
 
 def _sym_inverse(mat: np.ndarray) -> np.ndarray:

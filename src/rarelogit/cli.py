@@ -1,13 +1,17 @@
 """Command-line surface: dataset I/O, fits, simulation tables, variance reports.
 
-Subcommands: fit, table1, sweep, variance.  Datasets are CSV with a header
-row, a first column y of 0/1 labels and covariate columns x1..xd.  They are
-written through one `%`-format row template with 17 significant digits and
-read by one `np.loadtxt` call after the header, so a saved dataset loads
-back bit for bit.  Result files are CSV with a leading provenance comment
-line `# seed=<s> version=<v>`; numeric fields carry 17 significant digits
-so values round-trip exactly.  Exit codes: 0 success, 2 input or I/O
-error, 3 numeric or solver failure.
+Subcommands: fit, table1, sweep, variance.  Each subcommand computes its
+result table, a header and rows, and returns it; `main` writes the table
+and prints its path, so a command that fails writes no file.  Flags that
+several subcommands share are declared once, on argparse parent parsers.
+
+Datasets are CSV with a header row, a first column y of 0/1 labels and
+covariate columns x1..xd.  They are written through one `%`-format row
+template with 17 significant digits and read by one `np.loadtxt` call after
+the header, so a saved dataset loads back bit for bit.  Result files are CSV
+with a leading provenance comment line `# seed=<s> version=<v>`; numeric
+fields carry 17 significant digits so values round-trip exactly.  Exit
+codes: 0 success, 2 input or I/O error, 3 numeric or solver failure.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (
-    VarianceReport,
+    _check_constant,
     covariance,
     limit_constants,
     oversampling_variance_factor,
@@ -180,25 +184,28 @@ def _ints(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip() != ""]
 
 
-def _check_rates(args: argparse.Namespace) -> None:
-    """Reject an out-of-range --pi0 or --lambda, whether the estimator uses it or not."""
-    if args.pi0 is not None:
-        DesignKind.UNDERSAMPLE.check_rate(args.pi0)
-    if args.lambda_n is not None:
-        DesignKind.OVERSAMPLE.check_rate(args.lambda_n)
+# each scheme's rate flag and its dest, which is also limit_constants' keyword
+_RATE_FLAGS = {DesignKind.UNDERSAMPLE: ("--pi0", "pi0"), DesignKind.OVERSAMPLE: ("--lambda", "lambda_n")}
 
 
-def _estimator_kind(name: str, pi0: float | None, lambda_n: float | None) -> EstimatorKind:
-    tag = _KIND_ALIASES[name]
-    if tag.design_kind is None:
-        return EstimatorKind(tag)
-    if tag.design_kind is DesignKind.UNDERSAMPLE:
-        flag, rate = "--pi0", pi0
-    else:
-        flag, rate = "--lambda", lambda_n
-    if rate is None:
-        raise ValueError(f"--estimator {name} requires {flag}")
-    return EstimatorKind(tag, rate=rate)
+def _check_rates_and_constants(args: argparse.Namespace) -> None:
+    """Reject an out-of-range --pi0, --lambda, --c or --c-o, whether the estimator uses it or not."""
+    for scheme, (_, dest) in _RATE_FLAGS.items():
+        if getattr(args, dest) is not None:
+            scheme.check_rate(getattr(args, dest))
+    for name in ("c", "c_o"):
+        if getattr(args, name) is not None:
+            _check_constant(getattr(args, name), name)
+
+
+def _estimator_kind(args: argparse.Namespace) -> EstimatorKind:
+    family = _KIND_ALIASES[args.estimator]
+    if family.design_kind is None:
+        return EstimatorKind(family)
+    flag, dest = _RATE_FLAGS[family.design_kind]
+    if getattr(args, dest) is None:
+        raise ValueError(f"--estimator {args.estimator} requires {flag}")
+    return EstimatorKind(family, rate=getattr(args, dest))
 
 
 # what to say when a limit constant a covariance needs was neither given nor derived
@@ -209,28 +216,29 @@ _MISSING_CONSTANT = {
 }
 
 
-def _variance_constants(
-    args: argparse.Namespace, family: EstimatorFamily
-) -> dict[str, float | None]:
-    """c, c_o and lambda for a covariance: --c and --c-o, else derived from --alpha-t.
+def _covariance_rows(
+    args: argparse.Namespace, family: EstimatorFamily, xs: np.ndarray, beta: np.ndarray
+) -> list[list]:
+    """The family's asymptotic covariance as table rows: its constants, then v_i_j.
 
-    Only the rate the family samples at, --pi0 or --lambda, is used.
+    c and c_o are --c and --c-o, else derived from --alpha-t at the rate the
+    family samples at; the other rate flag is not used.
     """
-    pi0 = args.pi0 if family.design_kind is DesignKind.UNDERSAMPLE else None
-    lam = args.lambda_n if family.design_kind is DesignKind.OVERSAMPLE else None
+    rate: dict[str, float | None] = {}
+    if family.design_kind is not None:
+        _, dest = _RATE_FLAGS[family.design_kind]
+        rate[dest] = getattr(args, dest)
     c, c_o = args.c, args.c_o
     if args.alpha_t is not None:
-        derived_c, derived_co = limit_constants(args.alpha_t, pi0=pi0, lambda_n=lam)
+        derived_c, derived_co = limit_constants(args.alpha_t, **rate)
         c = derived_c if c is None else c
         c_o = derived_co if c_o is None else c_o
-    constants = {"c": c, "c_o": c_o, "lam": lam}
+    constants = {"c": c, "c_o": c_o, "lam": rate.get("lambda_n")}
     for name in required_constants(family):
         if constants[name] is None:
             raise ValueError(_MISSING_CONSTANT[name].format(family.value))
-    return constants
+    report = covariance(family, xs, beta, **constants)
 
-
-def _variance_rows(report: VarianceReport) -> list[list]:
     rows: list[list] = []
     if report.c is not None:
         rows.append(["c", report.c])
@@ -246,10 +254,17 @@ def _variance_rows(report: VarianceReport) -> list[list]:
     return rows
 
 
-def _cmd_fit(args: argparse.Namespace) -> None:
-    _check_rates(args)
+def _law(args: argparse.Namespace, d: int) -> GaussianLaw:
+    """The covariate law of --law-mean and --law-sd (defaults: zeros, ones) in d dimensions."""
+    means = _floats(args.law_mean) if args.law_mean else [0.0] * d
+    sds = _floats(args.law_sd) if args.law_sd else [1.0] * d
+    return GaussianLaw(means=tuple(means), sds=tuple(sds))
+
+
+def _cmd_fit(args: argparse.Namespace) -> tuple[list[str], list[list]]:
+    _check_rates_and_constants(args)
     data = load_dataset(args.data)
-    kind = _estimator_kind(args.estimator, args.pi0, args.lambda_n)
+    kind = _estimator_kind(args)
     settings = SolverSettings(tol=args.tol, max_iter=args.max_iter)
     design = realize_design(kind, data, substream(args.seed))
     fit = fit_estimator(kind, data, design, settings)
@@ -270,19 +285,17 @@ def _cmd_fit(args: argparse.Namespace) -> None:
         rows.append([f"beta{j + 1}", b])
 
     if args.alpha_t is not None or args.c is not None or args.c_o is not None:
-        constants = _variance_constants(args, kind.tag)
-        report = covariance(kind.tag, data.x, fit.theta.beta, **constants)
-        rows.extend(_variance_rows(report))
-
-    _write_table(args.out, args.seed, ["field", "value"], rows)
-    print(args.out)
+        rows.extend(_covariance_rows(args, kind.tag, data.x, fit.theta.beta))
+    return ["field", "value"], rows
 
 
-def _cmd_table1(args: argparse.Namespace) -> None:
+def _cmd_table1(args: argparse.Namespace) -> tuple[list[str], list[list]]:
     sizes = _ints(args.n)
     rates = _floats(args.rate)
     if len(sizes) != len(rates):
         raise ValueError("--n and --rate must pair up one-to-one")
+    if not sizes:
+        raise ValueError("--n and --rate list no values")
     rows = []
     for n, rate in zip(sizes, rates):
         config = ExperimentConfig(
@@ -321,8 +334,7 @@ def _cmd_table1(args: argparse.Namespace) -> None:
         "n_emse_beta",
         "failed",
     ]
-    _write_table(args.out, args.seed, header, rows)
-    print(args.out)
+    return header, rows
 
 
 def _sweep_estimators(scheme: DesignKind, grid: list[float]) -> tuple[EstimatorKind, ...]:
@@ -332,21 +344,20 @@ def _sweep_estimators(scheme: DesignKind, grid: list[float]) -> tuple[EstimatorK
     return (EstimatorKind(EstimatorFamily.FULL), *kinds)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> None:
+def _cmd_sweep(args: argparse.Namespace) -> tuple[list[str], list[list]]:
     if (args.pi0_grid is None) == (args.lambda_grid is None):
         raise ValueError("give exactly one of --pi0-grid and --lambda-grid")
     if args.pi0_grid is not None:
         scheme, grid = DesignKind.UNDERSAMPLE, _floats(args.pi0_grid)
     else:
         scheme, grid = DesignKind.OVERSAMPLE, _floats(args.lambda_grid)
+    if not grid:
+        raise ValueError("--pi0-grid or --lambda-grid lists no rates")
     theta_vals = _floats(args.theta_t)
     if len(theta_vals) < 2:
         raise ValueError("--theta-t needs an intercept and at least one slope")
     theta_t = Coefficients(alpha=theta_vals[0], beta=np.array(theta_vals[1:]))
-    d = theta_t.beta.shape[0]
-    means = _floats(args.law_mean) if args.law_mean else [0.0] * d
-    sds = _floats(args.law_sd) if args.law_sd else [1.0] * d
-    law = GaussianLaw(means=tuple(means), sds=tuple(sds))
+    law = _law(args, theta_t.beta.shape[0])
 
     config = ExperimentConfig(
         design=MarginalLogisticDesign(theta=theta_t, law=law),
@@ -370,29 +381,21 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
             ]
         )
     header = ["estimator", "rate", "emse_x1000", "emse_alpha_x1000", "emse_beta_x1000", "failed"]
-    _write_table(args.out, args.seed, header, rows)
-    print(args.out)
+    return header, rows
 
 
-def _cmd_variance(args: argparse.Namespace) -> None:
-    _check_rates(args)
+def _cmd_variance(args: argparse.Namespace) -> tuple[list[str], list[list]]:
+    _check_rates_and_constants(args)
     family = _KIND_ALIASES[args.kind]
     beta = np.array(_floats(args.beta))
     if args.xs is not None:
         xs = load_covariates(args.xs)
     else:
-        d = beta.shape[0]
-        means = _floats(args.law_mean) if args.law_mean else [0.0] * d
-        sds = _floats(args.law_sd) if args.law_sd else [1.0] * d
-        law = GaussianLaw(means=tuple(means), sds=tuple(sds))
-        xs = law.sample(args.m, substream(args.seed))
+        xs = _law(args, beta.shape[0]).sample(args.m, substream(args.seed))
 
-    constants = _variance_constants(args, family)
-    report = covariance(family, xs, beta, **constants)
     rows: list[list] = [["kind", family.value], ["m", xs.shape[0]]]
-    rows.extend(_variance_rows(report))
-    _write_table(args.out, args.seed, ["field", "value"], rows)
-    print(args.out)
+    rows.extend(_covariance_rows(args, family, xs, beta))
+    return ["field", "value"], rows
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -403,13 +406,35 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
-        p.add_argument("--out", required=True, help="result CSV path")
-        p.add_argument("--tol", type=float, default=1e-8, help="gradient tolerance (default 1e-8)")
-        p.add_argument("--max-iter", type=int, default=100, help="Newton step cap (default 100)")
+    # the flags several subcommands share, each declared once on a parent parser
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
+    output.add_argument("--out", required=True, help="result CSV path")
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--tol", type=float, default=1e-8, help="gradient tolerance (default 1e-8)")
+    solver.add_argument("--max-iter", type=int, default=100, help="Newton step cap (default 100)")
+    rates = argparse.ArgumentParser(add_help=False)
+    rates.add_argument("--pi0", type=float, help="under-sampling rate: control retention probability")
+    rates.add_argument("--lambda", dest="lambda_n", type=float, help="case over-sampling rate")
+    rates.add_argument("--alpha-t", type=float, help="true intercept, for the limit constants")
+    rates.add_argument("--c", type=float, help="limit constant exp(alpha_t)/pi0, given directly")
+    rates.add_argument("--c-o", type=float, help="limit constant lambda*exp(alpha_t), given directly")
+    reps = argparse.ArgumentParser(add_help=False)
+    reps.add_argument("--reps", type=int, default=1000, help="replication count S (default 1000)")
+    reps.add_argument(
+        "--threads", type=int, default=os.cpu_count() or 1, help="parallel replications"
+    )
+    law = argparse.ArgumentParser(add_help=False)
+    law.add_argument("--law-mean", help="covariate means (default zeros)")
+    law.add_argument("--law-sd", help="covariate sds (default ones)")
 
-    fit = sub.add_parser("fit", help="fit one estimator on a dataset CSV")
+    def command(name: str, func, help: str, *parents) -> argparse.ArgumentParser:
+        """A subcommand: func computes its table; it takes the flags of parents and output."""
+        cmd = sub.add_parser(name, help=help, parents=[*parents, output])
+        cmd.set_defaults(func=func)
+        return cmd
+
+    fit = command("fit", _cmd_fit, "fit one estimator on a dataset CSV", rates, solver)
     fit.add_argument("--data", required=True, help="dataset CSV (header y,x1..xd)")
     fit.add_argument(
         "--estimator",
@@ -417,70 +442,38 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=sorted(_KIND_ALIASES),
         help="estimator: full, under-w, under-bc, over-w, over-bc",
     )
-    fit.add_argument("--pi0", type=float, help="control retention probability")
-    fit.add_argument("--lambda", dest="lambda_n", type=float, help="case over-sampling rate")
-    fit.add_argument(
-        "--alpha-t",
-        type=float,
-        help="true intercept; when given, the matching asymptotic variance is reported",
-    )
-    fit.add_argument("--c", type=float, help="limit constant exp(alpha_t)/pi0, given directly")
-    fit.add_argument("--c-o", type=float, help="limit constant lambda*exp(alpha_t), given directly")
-    common(fit)
-    fit.set_defaults(func=_cmd_fit)
 
-    table1 = sub.add_parser("table1", help="scaled full-data eMSE table over (n, rate) pairs")
+    table1 = command("table1", _cmd_table1, "scaled full-data eMSE table over (n, rate) pairs", reps, solver)
     table1.add_argument("--n", required=True, help="comma list of sample sizes")
     table1.add_argument("--rate", required=True, help="comma list of event rates, paired with --n")
-    table1.add_argument("--reps", type=int, default=1000, help="replication count S (default 1000)")
     table1.add_argument("--mu1", type=float, default=1.0, help="case covariate mean (default 1)")
     table1.add_argument("--mu0", type=float, default=0.0, help="control covariate mean (default 0)")
     table1.add_argument("--sigma", type=float, default=1.0, help="covariate sd (default 1)")
-    table1.add_argument(
-        "--threads", type=int, default=os.cpu_count() or 1, help="parallel replications"
-    )
-    common(table1)
-    table1.set_defaults(func=_cmd_table1)
 
-    sweep = sub.add_parser("sweep", help="eMSE of the sampling estimators over a rate grid")
+    sweep = command("sweep", _cmd_sweep, "eMSE of the sampling estimators over a rate grid", law, reps, solver)
     sweep.add_argument("--pi0-grid", help="comma list of under-sampling rates")
     sweep.add_argument("--lambda-grid", help="comma list of over-sampling rates")
     sweep.add_argument("--n", type=int, required=True, help="sample size per replication")
     sweep.add_argument(
         "--theta-t", required=True, help="true coefficients, comma list alpha,beta1,.."
     )
-    sweep.add_argument("--law-mean", help="covariate means (default zeros)")
-    sweep.add_argument("--law-sd", help="covariate sds (default ones)")
-    sweep.add_argument("--reps", type=int, default=1000, help="replication count S (default 1000)")
-    sweep.add_argument(
-        "--threads", type=int, default=os.cpu_count() or 1, help="parallel replications"
-    )
-    common(sweep)
-    sweep.set_defaults(func=_cmd_sweep)
 
-    variance = sub.add_parser("variance", help="asymptotic covariance matrix and constants")
+    variance = command("variance", _cmd_variance, "asymptotic covariance matrix and constants", rates, law)
     variance.add_argument(
         "--kind", required=True, choices=sorted(_KIND_ALIASES), help="estimator family"
     )
     variance.add_argument("--beta", required=True, help="slope vector, comma list")
-    variance.add_argument("--alpha-t", type=float, help="true intercept for the limit constants")
-    variance.add_argument("--pi0", type=float, help="under-sampling rate (with --alpha-t)")
-    variance.add_argument("--lambda", dest="lambda_n", type=float, help="over-sampling rate")
-    variance.add_argument("--c", type=float, help="limit constant exp(alpha_t)/pi0, given directly")
-    variance.add_argument("--c-o", type=float, help="limit constant lambda*exp(alpha_t), given directly")
     variance.add_argument("--xs", help="covariate sample CSV (header x1..xd)")
     variance.add_argument("--m", type=int, default=1_000_000, help="law draws when no --xs (default 1e6)")
-    variance.add_argument("--law-mean", help="covariate means (default zeros)")
-    variance.add_argument("--law-sd", help="covariate sds (default ones)")
-    common(variance)
-    variance.set_defaults(func=_cmd_variance)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        args.func(args)
+        header, rows = args.func(args)
+        _write_table(args.out, args.seed, header, rows)
+        print(args.out)
     except (RareLogitError, OverflowError) as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return 3

@@ -168,7 +168,8 @@ def fit_estimator(
     One weighted MLE over all n rows with the family's weights, then the
     family's exact intercept shift at the design's rate.  The weights and
     the shift come from the design's kind, rate and indicators and the
-    labels.  The design is ignored for the full-data estimator.
+    labels.  A design of another kind or rate than kind's raises
+    ValueError.  The design is ignored for the full-data estimator.
 
     start, when given, is a point on the scale of the returned theta, such
     as another estimator's estimate on the same data.  The solver starts at
@@ -185,6 +186,10 @@ def fit_estimator(
             raise ValueError(f"{kind.tag.value} requires a realized design")
         if design.kind is not row.design:
             raise ValueError(f"{kind.tag.value} needs an {row.design.value} design")
+        if design.rate != kind.rate:
+            raise ValueError(
+                f"{kind.tag.value} at rate {kind.rate:g} was given a design drawn at {design.rate:g}"
+            )
         if design.n != data.n:
             raise ValueError("design and dataset lengths differ")
         if design.kind is DesignKind.UNDERSAMPLE and not np.any(

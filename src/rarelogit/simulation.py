@@ -412,7 +412,11 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> EmseReport:
     every estimator order.  The one exception is a binding max_iter: a
     fit that ran out of steps before the anchor existed may converge from
     the anchor, so put the full estimator first when max_iter is small.
+
+    threads must be >= 1; with 1 the replications run in this process.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     reps = range(1, config.reps + 1)
     if threads > 1:
         chunk = max(1, config.reps // (4 * threads))

@@ -109,6 +109,17 @@ class TestMomentMatrix:
         with pytest.raises(OverflowError):
             moment_matrix(xs, BETA, "plain")
 
+    @pytest.mark.parametrize(
+        "transform, constant", [("times", 1e308), ("over", 1e308), ("over_sq", 1e300)]
+    )
+    def test_overflowing_integrand_raises(self, transform, constant):
+        # 1 + k e overflowing used to turn the "over" weights into zeros, not infs
+        xs = np.array([[1.0], [0.0], [-1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="nonfinite integrand in the plug-in average"):
+                moment_matrix(xs, BETA, transform, constant)
+
     def test_sample_size_floor(self):
         with pytest.raises(ValueError):
             moment_matrix(np.array([[1.0]]), BETA, "plain")

@@ -308,6 +308,14 @@ class TestFitCommand:
         assert code == 2
         assert capsys.readouterr().err.strip() == f"ValueError: {message}"
 
+    def test_constants_checked_before_reading_data(self, tmp_path, capsys):
+        code = run_cli([
+            "fit", "--data", tmp_path / "nope.csv", "--estimator", "full",
+            "--c", -2, "--out", tmp_path / "o.csv",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == "ValueError: c must be >= 0, got -2.0"
+
     def test_stdout_carries_only_result_path(self, balanced_csv, tmp_path, capsys):
         out = tmp_path / "fit.csv"
         run_cli(["fit", "--data", balanced_csv, "--estimator", "full", "--out", out])
@@ -346,6 +354,13 @@ class TestTable1Command:
             "--out", tmp_path / "t.csv",
         ])
         assert code == 2
+
+    def test_empty_lists_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        code = run_cli(["table1", "--n", "", "--rate", "", "--reps", 2, "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == "ValueError: --n and --rate list no values"
+        assert not out.exists()
 
 
 class TestSweepCommand:
@@ -387,6 +402,32 @@ class TestSweepCommand:
             "--theta-t=-2,1", "--reps", 1, "--out", tmp_path / "s.csv",
         ])
         assert code == 2
+
+    def test_empty_grid_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = run_cli([
+            "sweep", "--lambda-grid", ",", "--n", 100, "--theta-t=-2,1",
+            "--reps", 1, "--threads", 1, "--out", out,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == "ValueError: --pi0-grid or --lambda-grid lists no rates"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1", "--n", 500, "--rate", 0.1, "--reps", 2, "--threads", 0],
+            ["sweep", "--pi0-grid", 0.5, "--n", 300, "--theta-t=-2,1", "--reps", 2, "--threads", -4],
+        ],
+        ids=["table1 0", "sweep -4"],
+    )
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "t.csv"
+        code = run_cli(argv + ["--out", out])
+        assert code == 2
+        threads = argv[-1]
+        assert capsys.readouterr().err.strip() == f"ValueError: threads must be >= 1, got {threads}"
+        assert not out.exists()
 
 
 class TestVarianceCommand:
@@ -484,6 +525,41 @@ class TestVarianceCommand:
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert capsys.readouterr().err.strip() == f"ValueError: {message}"
 
+    @pytest.mark.parametrize(
+        "kind, extra, message",
+        [
+            ("uw", ["--c", 0.5, "--c-o", -5], "c_o must be >= 0, got -5.0"),
+            ("full", ["--c", "nan"], "c must be >= 0, got nan"),
+            ("full", ["--xs", "no-such-dir/xs.csv", "--c-o", -1], "c_o must be >= 0, got -1.0"),
+        ],
+    )
+    def test_unused_constant_is_checked(self, tmp_path, capsys, kind, extra, message):
+        args = ["variance", "--kind", kind, "--beta", "1", "--m", 50, "--out", tmp_path / "v.csv"]
+        code = run_cli(args + extra)
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"ValueError: {message}"
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--kind", "ubc", "--c", "1e308"],
+            ["--kind", "obc", "--lambda", 2, "--c-o", "1e300"],
+            ["--kind", "uw", "--c", "1e308"],
+        ],
+        ids=["ubc", "obc", "uw"],
+    )
+    def test_overflowing_integrand_exits_3(self, tmp_path, capsys, extra):
+        # ubc and obc used to exit 0 with an all-inf or all-zero covariance
+        out = tmp_path / "v.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(["variance", "--beta", "1", "--m", 50, "--out", out] + extra)
+        assert code == 3
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["OverflowError: nonfinite integrand in the plug-in average"]
+        assert not out.exists()
+
     def test_unused_valid_rate_changes_nothing(self, tmp_path):
         out_plain = tmp_path / "plain.csv"
         out_extra = tmp_path / "extra.csv"
@@ -498,3 +574,38 @@ class TestVarianceCommand:
         code = run_cli(["variance", "--kind", "full", "--beta", "1", "--xs", xs_path, "--out", tmp_path / "v.csv"])
         assert code == 3
         assert "Singular" in capsys.readouterr().err
+
+
+class TestCommandSurface:
+    SHARED = ["-h", "--help", "--seed", "--out"]
+    SOLVER = ["--tol", "--max-iter"]
+    RATES = ["--pi0", "--lambda", "--alpha-t", "--c", "--c-o"]
+    REPS = ["--reps", "--threads"]
+    LAW = ["--law-mean", "--law-sd"]
+    OPTIONS = {
+        "fit": SHARED + SOLVER + RATES + ["--data", "--estimator"],
+        "table1": SHARED + SOLVER + REPS + ["--n", "--rate", "--mu1", "--mu0", "--sigma"],
+        "sweep": SHARED + SOLVER + REPS + LAW + ["--pi0-grid", "--lambda-grid", "--n", "--theta-t"],
+        "variance": SHARED + RATES + LAW + ["--kind", "--beta", "--xs", "--m"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_help_lists_exactly_the_commands_options(self, capsys, command):
+        # formatting the help also formats every help string
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        found = set()
+        for line in capsys.readouterr().out.splitlines():
+            invocation = re.match(r"  (-\S.*?)(?:\s{2,}|$)", line)
+            if invocation:
+                found.update(part.split()[0] for part in invocation.group(1).split(", "))
+        assert sorted(found) == sorted(self.OPTIONS[command])
+
+    def test_variance_takes_no_solver_flags(self, tmp_path):
+        with pytest.raises(SystemExit) as exit_:
+            run_cli([
+                "variance", "--kind", "full", "--beta", 1, "--m", 50,
+                "--tol", 1e-3, "--out", tmp_path / "v.csv",
+            ])
+        assert exit_.value.code == 2

@@ -11,6 +11,7 @@ from rarelogit import (
     EstimatorKind,
     NoControlsSelectedError,
     SampleDesign,
+    fit_estimator,
     fit_mle,
     full_mle,
     over_bias_corrected,
@@ -186,3 +187,10 @@ class TestEstimatorKind:
         )
         assert over.kind is DesignKind.OVERSAMPLE
 
+    @pytest.mark.parametrize("family", [f for f in EstimatorFamily if f.design_kind is not None])
+    def test_design_rate_must_be_the_kinds(self, family):
+        # a design drawn at another rate used to be fitted at the design's rate
+        data = simulated_data(12)
+        design = realize_design(EstimatorKind(family, 0.1), data, substream(3))
+        with pytest.raises(ValueError, match="at rate 0.5 was given a design drawn at 0.1"):
+            fit_estimator(EstimatorKind(family, 0.5), data, design)

@@ -9,6 +9,16 @@ that a different BLAS build still passes.
 Regenerate the golden files, after a change that is meant to move them, with
 
     PYTHONPATH=src python tests/test_golden.py
+
+Given a directory, the script writes the 13 result files there instead, so
+two commits' outputs compare byte for byte: run it in a checkout of each,
+each with its own directory, then `diff -r` the two directories.  Compare a
+change with its parent commit's output, not with tests/golden/: a file
+written with another BLAS build can differ from the committed one in its
+last digits (sweep_over.csv does on some machines), which this test's
+1e-12 tolerance accepts.
+
+    PYTHONPATH=src python tests/test_golden.py DIR
 """
 
 import csv
@@ -98,10 +108,12 @@ def test_matches_golden(name, inputs, tmp_path):
 
 
 if __name__ == "__main__":
+    import sys
     import tempfile
 
-    GOLDEN.mkdir(exist_ok=True)
+    target = Path(sys.argv[1]) if len(sys.argv) > 1 else GOLDEN
+    target.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         paths = write_inputs(Path(tmp))
         for case in sorted(CASES):
-            run_case(case, paths, GOLDEN / f"{case}.csv")
+            run_case(case, paths, target / f"{case}.csv")
