@@ -216,13 +216,12 @@ _MISSING_CONSTANT = {
 }
 
 
-def _covariance_rows(
-    args: argparse.Namespace, family: EstimatorFamily, xs: np.ndarray, beta: np.ndarray
-) -> list[list]:
-    """The family's asymptotic covariance as table rows: its constants, then v_i_j.
+def _covariance_constants(args: argparse.Namespace, family: EstimatorFamily) -> dict:
+    """The constants covariance() takes for the family, from the flags alone.
 
     c and c_o are --c and --c-o, else derived from --alpha-t at the rate the
-    family samples at; the other rate flag is not used.
+    family samples at; the other rate flag is not used.  A constant the
+    family needs but lacks raises ValueError, before any data are read.
     """
     rate: dict[str, float | None] = {}
     if family.design_kind is not None:
@@ -237,6 +236,13 @@ def _covariance_rows(
     for name in required_constants(family):
         if constants[name] is None:
             raise ValueError(_MISSING_CONSTANT[name].format(family.value))
+    return constants
+
+
+def _covariance_rows(
+    family: EstimatorFamily, xs: np.ndarray, beta: np.ndarray, constants: dict
+) -> list[list]:
+    """The family's asymptotic covariance as table rows: its constants, then v_i_j."""
     report = covariance(family, xs, beta, **constants)
 
     rows: list[list] = []
@@ -263,8 +269,11 @@ def _law(args: argparse.Namespace, d: int) -> GaussianLaw:
 
 def _cmd_fit(args: argparse.Namespace) -> tuple[list[str], list[list]]:
     _check_rates_and_constants(args)
-    data = load_dataset(args.data)
     kind = _estimator_kind(args)
+    constants = None
+    if args.alpha_t is not None or args.c is not None or args.c_o is not None:
+        constants = _covariance_constants(args, kind.tag)
+    data = load_dataset(args.data)
     settings = SolverSettings(tol=args.tol, max_iter=args.max_iter)
     design = realize_design(kind, data, substream(args.seed))
     fit = fit_estimator(kind, data, design, settings)
@@ -284,8 +293,8 @@ def _cmd_fit(args: argparse.Namespace) -> tuple[list[str], list[list]]:
     for j, b in enumerate(fit.theta.beta):
         rows.append([f"beta{j + 1}", b])
 
-    if args.alpha_t is not None or args.c is not None or args.c_o is not None:
-        rows.extend(_covariance_rows(args, kind.tag, data.x, fit.theta.beta))
+    if constants is not None:
+        rows.extend(_covariance_rows(kind.tag, data.x, fit.theta.beta, constants))
     return ["field", "value"], rows
 
 
@@ -296,9 +305,9 @@ def _cmd_table1(args: argparse.Namespace) -> tuple[list[str], list[list]]:
         raise ValueError("--n and --rate must pair up one-to-one")
     if not sizes:
         raise ValueError("--n and --rate list no values")
-    rows = []
-    for n, rate in zip(sizes, rates):
-        config = ExperimentConfig(
+    # every (n, rate) design is checked before the first replication runs
+    configs = [
+        ExperimentConfig(
             design=ConditionalGaussianDesign(
                 mu1=args.mu1, mu0=args.mu0, sigma=args.sigma, target_rate=rate
             ),
@@ -308,6 +317,11 @@ def _cmd_table1(args: argparse.Namespace) -> tuple[list[str], list[list]]:
             base_seed=args.seed,
             solver=SolverSettings(tol=args.tol, max_iter=args.max_iter),
         )
+        for n, rate in zip(sizes, rates)
+    ]
+    rows = []
+    for config in configs:
+        n, rate = config.n, config.design.target_rate
         report = run_experiment(config, threads=args.threads)
         entry = report.entries[0]
         expected_n1 = n * rate
@@ -388,13 +402,20 @@ def _cmd_variance(args: argparse.Namespace) -> tuple[list[str], list[list]]:
     _check_rates_and_constants(args)
     family = _KIND_ALIASES[args.kind]
     beta = np.array(_floats(args.beta))
+    if beta.size == 0:
+        raise ValueError("--beta lists no values")
+    constants = _covariance_constants(args, family)
+    # the law and --m are checked even when --xs makes them unused
+    law = _law(args, beta.shape[0])
+    if args.m < 1:
+        raise ValueError(f"--m must be >= 1, got {args.m}")
     if args.xs is not None:
         xs = load_covariates(args.xs)
     else:
-        xs = _law(args, beta.shape[0]).sample(args.m, substream(args.seed))
+        xs = law.sample(args.m, substream(args.seed))
 
     rows: list[list] = [["kind", family.value], ["m", xs.shape[0]]]
-    rows.extend(_covariance_rows(args, family, xs, beta))
+    rows.extend(_covariance_rows(family, xs, beta, constants))
     return ["field", "value"], rows
 
 
@@ -411,8 +432,8 @@ def _build_parser() -> argparse.ArgumentParser:
     output.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
     output.add_argument("--out", required=True, help="result CSV path")
     solver = argparse.ArgumentParser(add_help=False)
-    solver.add_argument("--tol", type=float, default=1e-8, help="gradient tolerance (default 1e-8)")
-    solver.add_argument("--max-iter", type=int, default=100, help="Newton step cap (default 100)")
+    solver.add_argument("--tol", type=float, default=SolverSettings.tol, help="gradient tolerance (default %(default)s)")
+    solver.add_argument("--max-iter", type=int, default=SolverSettings.max_iter, help="Newton step cap (default %(default)s)")
     rates = argparse.ArgumentParser(add_help=False)
     rates.add_argument("--pi0", type=float, help="under-sampling rate: control retention probability")
     rates.add_argument("--lambda", dest="lambda_n", type=float, help="case over-sampling rate")

@@ -205,14 +205,7 @@ def fit_estimator(
             shift = design.kind.intercept_shift(design.rate)
     if start is not None and shift is not None:
         start = Coefficients(start.alpha - shift, start.beta)
-    fit = fit_mle(
-        data,
-        weights,
-        init=start,
-        tol=settings.tol,
-        max_iter=settings.max_iter,
-        divergence_bound=settings.divergence_bound,
-    )
+    fit = fit_mle(data, weights, init=start, settings=settings)
     if shift is None:
         return fit
     shifted = Coefficients(fit.theta.alpha + shift, fit.theta.beta)

@@ -33,9 +33,6 @@ __all__ = [
     "predict_prob",
 ]
 
-DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 100
-DEFAULT_DIVERGENCE_BOUND = 30.0
 MAX_HALVINGS = 30
 RIDGE_SCALE = 1e-10
 # Slack for step acceptance: near the optimum the true Newton gain drops
@@ -136,11 +133,17 @@ class Coefficients:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Newton solver knobs shared by every estimator."""
+    """Newton solver knobs shared by every estimator, checked once here.
 
-    tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
-    divergence_bound: float = DEFAULT_DIVERGENCE_BOUND
+    tol bounds the gradient max-norm at convergence, max_iter caps the
+    accepted Newton steps, and an iterate whose max-norm passes
+    divergence_bound raises SeparationError (the usual symptom of
+    separated data).
+    """
+
+    tol: float = 1e-8
+    max_iter: int = 100
+    divergence_bound: float = 30.0
 
     def __post_init__(self) -> None:
         if not 0 < self.tol < np.inf:
@@ -292,9 +295,7 @@ def fit_mle(
     data: Dataset,
     weights: np.ndarray,
     init: Coefficients | None = None,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    divergence_bound: float = DEFAULT_DIVERGENCE_BOUND,
+    settings: SolverSettings = SolverSettings(),
 ) -> FitResult:
     """Maximize the weighted log-likelihood by damped Newton ascent.
 
@@ -311,19 +312,15 @@ def fit_mle(
     init : starting point.  By default the intercept starts at the weighted
         case log-odds log(sum w y / sum w (1 - y)), the exact MLE of the
         intercept-only model, and the slopes at zero.
-    tol : convergence threshold on the gradient max-norm.
-    max_iter : maximum number of accepted Newton steps.
-    divergence_bound : max-norm bound on iterates; crossing it raises
-        SeparationError (the usual symptom of separated data).
+    settings : tol, max_iter and divergence_bound (see SolverSettings).
 
     Raises
     ------
-    ValueError : malformed weights or init, or settings SolverSettings rejects.
+    ValueError : malformed weights or init.
     AllOneClassError : no positively weighted case or control.
     SeparationError : iterates escaped past divergence_bound.
     SingularHessianError : Newton system unsolvable at a non-stationary point.
     """
-    SolverSettings(tol, max_iter, divergence_bound)
     w_all = _check_weights(data, weights)
 
     # with every weight positive, a slice selects views instead of copies;
@@ -352,10 +349,10 @@ def fit_mle(
         # the kernel's last evaluation is at theta, so nothing is recomputed
         grad, neg_hess = kernel.derivatives()
         grad_norm = float(np.max(np.abs(grad)))
-        if grad_norm <= tol:
+        if grad_norm <= settings.tol:
             converged = True
             break
-        if iterations >= max_iter:
+        if iterations >= settings.max_iter:
             break
         step = _solve_newton(neg_hess, grad)
 
@@ -373,10 +370,10 @@ def fit_mle(
             break
         theta, obj = cand, cand_obj
         iterations += 1
-        if np.max(np.abs(theta)) > divergence_bound:
+        if np.max(np.abs(theta)) > settings.divergence_bound:
             raise SeparationError(
                 f"iterate max-norm {np.max(np.abs(theta)):.3g} exceeded "
-                f"{divergence_bound:.3g}: data appear separated"
+                f"{settings.divergence_bound:.3g}: data appear separated"
             )
 
     return FitResult(

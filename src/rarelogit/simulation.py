@@ -4,13 +4,15 @@ Two experiment designs are supported: a conditional-Gaussian mixture
 (labels first, then one Gaussian covariate per class, whose induced
 logistic coefficients follow the discriminant-analysis closed form) and a
 marginal-logistic design (covariates first, then Bernoulli labels from the
-logistic model).  The harness repeats either design over seeded
-substreams, fits a list of estimators per replication, and aggregates
-empirical mean squared errors.
+logistic model).  Each design draws its own data (draw) and gives its own
+true coefficients (true_coefficients).  The harness repeats a design over
+seeded substreams, fits a list of estimators per replication, and
+aggregates empirical mean squared errors.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -84,25 +86,14 @@ class GaussianLaw:
         return draws * np.asarray(self.sds) + np.asarray(self.means)
 
 
-def _discriminant_coefficients(
-    mu1: float, mu0: float, sigma: float, target_rate: float
-) -> Coefficients:
-    """Logistic coefficients induced by the two-Gaussian mixture.
-
-    With P(y=1) = rho and x | y ~ N(mu_y, sigma^2), Bayes' rule gives a
-    logistic model with slope (mu1 - mu0)/sigma^2 and intercept
-    log(rho/(1-rho)) - (mu1^2 - mu0^2)/(2 sigma^2).
-    """
-    beta = (mu1 - mu0) / sigma**2
-    alpha = math.log(target_rate / (1.0 - target_rate)) - (mu1**2 - mu0**2) / (
-        2.0 * sigma**2
-    )
-    return Coefficients(alpha=alpha, beta=np.array([beta]))
-
-
 @dataclass(frozen=True)
 class ConditionalGaussianDesign:
-    """Labels ~ Bernoulli(target_rate); x | y ~ N(mu_y, sigma^2), one covariate."""
+    """Labels ~ Bernoulli(target_rate); x | y ~ N(mu_y, sigma^2), one covariate.
+
+    Parameters whose induced coefficients are not finite in floating point
+    (sigma^2 underflowing to zero, mu^2 or sigma^2 overflowing) are
+    rejected here, before any data are drawn.
+    """
 
     mu1: float
     mu0: float
@@ -112,15 +103,32 @@ class ConditionalGaussianDesign:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.mu1) and math.isfinite(self.mu0)):
             raise ValueError("means must be finite")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not (self.sigma > 0 and math.isfinite(self.sigma)):
+            raise ValueError("sigma must be positive and finite")
         if not (0.0 < self.target_rate < 1.0):
             raise ValueError("target_rate must be in (0, 1)")
+        try:
+            self.true_coefficients()
+        except (ZeroDivisionError, OverflowError, ValueError):
+            raise ValueError(
+                f"mu1={self.mu1:g}, mu0={self.mu0:g}, sigma={self.sigma:g} "
+                "induce logistic coefficients that are not finite"
+            ) from None
 
     def true_coefficients(self) -> Coefficients:
-        return _discriminant_coefficients(
-            self.mu1, self.mu0, self.sigma, self.target_rate
-        )
+        """Logistic coefficients induced by the two-Gaussian mixture.
+
+        With P(y=1) = rho and x | y ~ N(mu_y, sigma^2), Bayes' rule gives a
+        logistic model with slope (mu1 - mu0)/sigma^2 and intercept
+        log(rho/(1-rho)) - (mu1^2 - mu0^2)/(2 sigma^2).
+        """
+        mu1, mu0, sigma, rho = self.mu1, self.mu0, self.sigma, self.target_rate
+        beta = (mu1 - mu0) / sigma**2
+        alpha = math.log(rho / (1.0 - rho)) - (mu1**2 - mu0**2) / (2.0 * sigma**2)
+        return Coefficients(alpha=alpha, beta=np.array([beta]))
+
+    def draw(self, n: int, rng: np.random.Generator) -> Dataset:
+        return generate_conditional(n, self.target_rate, self.mu1, self.mu0, self.sigma, rng)[0]
 
 
 @dataclass(frozen=True)
@@ -133,6 +141,12 @@ class MarginalLogisticDesign:
     def __post_init__(self) -> None:
         if self.theta.beta.shape[0] != self.law.dim:
             raise ValueError("theta and covariate law dimensions differ")
+
+    def true_coefficients(self) -> Coefficients:
+        return self.theta
+
+    def draw(self, n: int, rng: np.random.Generator) -> Dataset:
+        return generate_marginal(n, self.theta, self.law, rng)
 
 
 def generate_conditional(
@@ -307,12 +321,14 @@ class EmseReport:
 class ExperimentConfig:
     """Everything that determines one replicated experiment.
 
-    The harness is a pure function of this object: replication s uses
-    substream (base_seed, s) for the data and (base_seed, s, i) for the
-    sampling design first needed by estimator i, and a design is shared by
-    the weighted/bias-corrected variants of the same scheme and rate.  The
-    estimators are fitted in the given order; the first converged estimate
-    of a replication is the start of every later fit in it.
+    The harness is a pure function of this object: replication s draws
+    its data by design.draw(n, substream(base_seed, s)) and uses substream
+    (base_seed, s, i) for the sampling design first needed by estimator i;
+    a sampling design is shared by the weighted/bias-corrected variants of
+    the same scheme and rate.  The estimators are fitted in the given
+    order with the solver settings; the first converged estimate of a
+    replication is the start of every later fit in it.  Every estimate is
+    scored against design.true_coefficients().
     """
 
     design: ConditionalGaussianDesign | MarginalLogisticDesign
@@ -336,31 +352,11 @@ class ExperimentConfig:
         object.__setattr__(self, "estimators", estimators)
         object.__setattr__(self, "base_seed", int(self.base_seed))
 
-    def true_coefficients(self) -> Coefficients:
-        if isinstance(self.design, ConditionalGaussianDesign):
-            return self.design.true_coefficients()
-        return self.design.theta
-
-
-def _simulate(config: ExperimentConfig, s: int) -> Dataset:
-    rng = substream(config.base_seed, s)
-    if isinstance(config.design, ConditionalGaussianDesign):
-        data, _ = generate_conditional(
-            config.n,
-            config.design.target_rate,
-            config.design.mu1,
-            config.design.mu0,
-            config.design.sigma,
-            rng,
-        )
-        return data
-    return generate_marginal(config.n, config.design.theta, config.design.law, rng)
-
 
 def _run_replication(
     config: ExperimentConfig, s: int
 ) -> tuple[int, list[np.ndarray | None]]:
-    data = _simulate(config, s)
+    data = config.design.draw(config.n, substream(config.base_seed, s))
     designs: dict[tuple, SampleDesign] = {}
     fits: list[np.ndarray | None] = []
     # the first converged estimate; every later fit starts there
@@ -384,10 +380,6 @@ def _run_replication(
         if ok and anchor is None:
             anchor = fit.theta
     return data.n1, fits
-
-
-def _worker(args: tuple[ExperimentConfig, int]) -> tuple[int, list[np.ndarray | None]]:
-    return _run_replication(*args)
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> EmseReport:
@@ -421,13 +413,11 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> EmseReport:
     if threads > 1:
         chunk = max(1, config.reps // (4 * threads))
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(_worker, ((config, s) for s in reps), chunksize=chunk)
-            )
+            results = list(pool.map(_run_replication, itertools.repeat(config), reps, chunksize=chunk))
     else:
         results = [_run_replication(config, s) for s in reps]
 
-    theta_t = config.true_coefficients()
+    theta_t = config.design.true_coefficients()
     mean_n1 = float(np.mean([n1 for n1, _ in results]))
     entries = []
     for i, kind in enumerate(config.estimators):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from rarelogit import Dataset, substream
+from rarelogit import Dataset, cli, substream
 from rarelogit.cli import load_covariates, load_dataset, main, save_dataset
 
 
@@ -316,6 +316,20 @@ class TestFitCommand:
         assert code == 2
         assert capsys.readouterr().err.strip() == "ValueError: c must be >= 0, got -2.0"
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--estimator", "uw", "--pi0", 0.3, "--c-o", 1], "under-w variance needs c (or --alpha-t with --pi0)"),
+            (["--estimator", "full", "--alpha-t", "nan"], "alpha_t must be finite"),
+            (["--estimator", "uw", "--pi0", 0.5, "--alpha-t", 800], "limit constant c overflows at alpha_t=800"),
+        ],
+        ids=["missing-c", "nan-alpha-t", "overflowing-c"],
+    )
+    def test_covariance_constants_resolved_before_reading_data(self, tmp_path, capsys, extra, message):
+        code = run_cli(["fit", "--data", tmp_path / "nope.csv", "--out", tmp_path / "o.csv"] + extra)
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"ValueError: {message}"
+
     def test_stdout_carries_only_result_path(self, balanced_csv, tmp_path, capsys):
         out = tmp_path / "fit.csv"
         run_cli(["fit", "--data", balanced_csv, "--estimator", "full", "--out", out])
@@ -360,6 +374,29 @@ class TestTable1Command:
         code = run_cli(["table1", "--n", "", "--rate", "", "--reps", 2, "--out", out])
         assert code == 2
         assert capsys.readouterr().err.strip() == "ValueError: --n and --rate list no values"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--sigma", "1e-200"], "mu1=1, mu0=0, sigma=1e-200 induce logistic coefficients that are not finite"),
+            (["--sigma", "1e200"], "mu1=1, mu0=0, sigma=1e+200 induce logistic coefficients that are not finite"),
+            (["--mu1", "1e200"], "mu1=1e+200, mu0=0, sigma=1 induce logistic coefficients that are not finite"),
+            (["--sigma", "inf"], "sigma must be positive and finite"),
+            # a later pair's design is checked before the first pair runs
+            (["--n", "200,300", "--rate", "0.05,0.7"], "target_rate must be in (0, 0.5)"),
+        ],
+        ids=["tiny-sigma", "huge-sigma", "huge-mu1", "inf-sigma", "bad-later-rate"],
+    )
+    def test_bad_design_is_an_input_error(self, tmp_path, capsys, monkeypatch, extra, message):
+        def no_replications(*args, **kwargs):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(cli, "run_experiment", no_replications)
+        out = tmp_path / "t.csv"
+        argv = ["table1", "--n", 200, "--rate", 0.05, "--reps", 2, "--threads", 1, "--out", out]
+        assert run_cli(argv + extra) == 2
+        assert capsys.readouterr().err.splitlines() == [f"ValueError: {message}"]
         assert not out.exists()
 
 
@@ -567,6 +604,29 @@ class TestVarianceCommand:
         assert run_cli(args + ["--out", out_plain]) == 0
         assert run_cli(args + ["--pi0", 0.5, "--out", out_extra]) == 0
         assert out_plain.read_bytes() == out_extra.read_bytes()
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--xs", "xs.csv", "--law-sd", -1], "sds must be positive and finite"),
+            (["--xs", "xs.csv", "--law-mean", "nan"], "means must be finite"),
+            (["--xs", "xs.csv", "--m", -3], "--m must be >= 1, got -3"),
+            (["--m", -3], "--m must be >= 1, got -3"),
+            (["--m", 0], "--m must be >= 1, got 0"),
+            # the law's dimension is --beta's length, so an empty list is named
+            (["--xs", "xs.csv", "--beta", ""], "--beta lists no values"),
+        ],
+        ids=["xs-law-sd", "xs-law-mean", "xs-m", "negative-m", "zero-m", "empty-beta"],
+    )
+    def test_law_and_m_checked_with_or_without_xs(self, tmp_path, capsys, extra, message):
+        xs_path = tmp_path / "xs.csv"
+        xs_path.write_text("x1\n1.0\n-0.5\n2.0\n")
+        extra = [xs_path if a == "xs.csv" else a for a in extra]
+        out = tmp_path / "v.csv"
+        code = run_cli(["variance", "--kind", "full", "--beta", "1", "--out", out] + extra)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"ValueError: {message}"]
+        assert not out.exists()
 
     def test_singular_sample_exits_3(self, tmp_path, capsys):
         xs_path = tmp_path / "xs.csv"

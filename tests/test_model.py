@@ -189,7 +189,7 @@ class TestFitMle:
         # a fit capped at k steps stops at the k-th iterate of the uncapped fit;
         # its objective is the solver's, on the max-rescaled weights
         objectives = [
-            log_likelihood(data, w / w.max(), fit_mle(data, w, max_iter=k).theta)
+            log_likelihood(data, w / w.max(), fit_mle(data, w, settings=SolverSettings(max_iter=k)).theta)
             for k in range(1, steps + 1)
         ]
         assert len(objectives) >= 2
@@ -201,7 +201,7 @@ class TestFitMle:
     def test_stationarity_when_converged(self):
         rng = np.random.default_rng(6)
         data, w, _ = random_instance(rng, n=80, d=3)
-        fit = fit_mle(data, w, tol=1e-8)
+        fit = fit_mle(data, w, settings=SolverSettings(tol=1e-8))
         assert fit.converged
         assert fit.grad_max_norm <= 1e-8
         # the reported norm refers to the max-rescaled weights
@@ -255,16 +255,16 @@ class TestFitMle:
     def test_max_iter_cap(self):
         rng = np.random.default_rng(9)
         data, _, _ = random_instance(rng, n=50, d=2)
-        fit = fit_mle(data, np.ones(50), max_iter=1)
+        fit = fit_mle(data, np.ones(50), settings=SolverSettings(max_iter=1))
         assert not fit.converged
         assert fit.iterations <= 1
 
     def test_bad_solver_arguments(self):
         data = Dataset(x=np.zeros((2, 1)), y=[1, 0])
         with pytest.raises(ValueError):
-            fit_mle(data, np.ones(2), tol=0.0)
+            fit_mle(data, np.ones(2), settings=SolverSettings(tol=0.0))
         with pytest.raises(ValueError):
-            fit_mle(data, np.ones(2), max_iter=0)
+            fit_mle(data, np.ones(2), settings=SolverSettings(max_iter=0))
 
     @pytest.mark.parametrize(
         "settings, message",
@@ -286,7 +286,7 @@ class TestFitMle:
         # (0, -1) or as no bound at all (nan)
         data, w, _ = random_instance(np.random.default_rng(8), n=40, d=1)
         with pytest.raises(ValueError, match="divergence_bound must be positive"):
-            fit_mle(data, w, divergence_bound=bound)
+            fit_mle(data, w, settings=SolverSettings(divergence_bound=bound))
 
 
 class TestDomainTypes:

@@ -10,6 +10,7 @@ from rarelogit import (
     Dataset,
     GaussianLaw,
     RareLogitError,
+    SolverSettings,
     fit_mle,
     full_mle,
     generate_marginal,
@@ -87,8 +88,10 @@ class TestSolverProperties:
         data, w = logistic_problem(seed, n, d, alpha)
         assume(data.n1 >= 5 and data.n0 >= 5)
         try:
-            default = fit_mle(data, w, tol=1e-10)
-            zero = fit_mle(data, w, init=Coefficients(0.0, np.zeros(d)), tol=1e-10)
+            default = fit_mle(data, w, settings=SolverSettings(tol=1e-10))
+            zero = fit_mle(
+                data, w, init=Coefficients(0.0, np.zeros(d)), settings=SolverSettings(tol=1e-10)
+            )
         except RareLogitError:
             assume(False)
         assert default.converged and zero.converged

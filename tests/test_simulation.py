@@ -100,6 +100,25 @@ class TestGenerateConditional:
         with pytest.raises(ValueError):
             generate_conditional(10, 0.1, 1.0, 0.0, 0.0, substream(0))
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            # sigma^2 underflows to 0: the slope would divide by zero
+            ({"sigma": 1e-200}, "mu1=1, mu0=0, sigma=1e-200 induce logistic coefficients"),
+            ({"sigma": 1e200}, "sigma=1e[+]200 induce logistic coefficients that are not finite"),
+            ({"mu1": 1e200}, "mu1=1e[+]200, mu0=0, sigma=1 induce logistic coefficients"),
+            # mu1 - mu0 overflows to inf without an exception
+            ({"mu1": 1e308, "mu0": -1e308}, "induce logistic coefficients that are not finite"),
+            ({"sigma": math.inf}, "sigma must be positive and finite"),
+            ({"sigma": math.nan}, "sigma must be positive and finite"),
+        ],
+        ids=["tiny-sigma", "huge-sigma", "huge-mu1", "huge-mean-gap", "inf-sigma", "nan-sigma"],
+    )
+    def test_nonfinite_induced_coefficients_rejected(self, params, message):
+        kwargs = {"mu1": 1.0, "mu0": 0.0, "sigma": 1.0, "target_rate": 0.05} | params
+        with pytest.raises(ValueError, match=message):
+            ConditionalGaussianDesign(**kwargs)
+
 
 class TestGenerateMarginal:
     def test_case_count_near_expectation(self):
@@ -237,6 +256,20 @@ class TestRunExperiment:
         fit = full_mle(data)
         delta = fit.theta.as_vector() - theta_t.as_vector()
         entry = report.entries[0]
+        assert entry.emse_alpha == delta[0] ** 2
+        assert entry.emse_total == delta[0] ** 2 + delta[1] ** 2
+        assert report.mean_n1 == data.n1
+
+        # the marginal design: replication 1 draws on substream (seed, 1)
+        design = MarginalLogisticDesign(
+            theta=Coefficients(-1.5, [1.0]), law=GaussianLaw.standard(1)
+        )
+        report = run_experiment(dataclasses.replace(config, design=design))
+        data = design.draw(600, substream(config.base_seed, 1))
+        theta_t = design.true_coefficients()
+        delta = full_mle(data).theta.as_vector() - theta_t.as_vector()
+        entry = report.entries[0]
+        assert_array_equal(report.theta_t.as_vector(), [-1.5, 1.0])
         assert entry.emse_alpha == delta[0] ** 2
         assert entry.emse_total == delta[0] ** 2 + delta[1] ** 2
         assert report.mean_n1 == data.n1
