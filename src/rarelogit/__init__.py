@@ -8,128 +8,17 @@ Monte Carlo harness for replicated experiments.
 
 __version__ = "0.1.0"
 
-from .asymptotics import (
-    SCALING_LABEL,
-    SingularMomentMatrixError,
-    VarianceReport,
-    covariance,
-    limit_constants,
-    loewner_ge,
-    moment_matrix,
-    oversampling_variance_factor,
-    v_full,
-    v_over_bc,
-    v_over_weighted,
-    v_under_bc,
-    v_under_weighted,
-    weighted_moment_inequality_check,
-)
-from .estimators import (
-    EstimatorFamily,
-    EstimatorKind,
-    NoControlsSelectedError,
-    fit_estimator,
-    full_mle,
-    over_bias_corrected,
-    over_weighted,
-    realize_design,
-    under_bias_corrected,
-    under_weighted,
-)
-from .model import (
-    AllOneClassError,
-    Coefficients,
-    Dataset,
-    FitResult,
-    RareLogitError,
-    SeparationError,
-    SingularHessianError,
-    SolverSettings,
-    fit_mle,
-    gradient,
-    hessian,
-    log_likelihood,
-    predict_prob,
-)
-from .sampling import (
-    DesignKind,
-    SampleDesign,
-    effective_sample_size,
-    oversample,
-    substream,
-    undersample,
-)
-from .simulation import (
-    AllReplicationsFailedError,
-    CalibrationError,
-    ConditionalGaussianDesign,
-    EmseReport,
-    EstimatorEmse,
-    ExperimentConfig,
-    GaussianLaw,
-    MarginalLogisticDesign,
-    calibrate_intercept,
-    emse,
-    generate_conditional,
-    generate_marginal,
-    run_experiment,
-)
+from . import asymptotics, estimators, model, sampling, simulation
+from .asymptotics import *
+from .estimators import *
+from .model import *
+from .sampling import *
+from .simulation import *
 
-__all__ = [
-    "AllOneClassError",
-    "AllReplicationsFailedError",
-    "CalibrationError",
-    "Coefficients",
-    "ConditionalGaussianDesign",
-    "Dataset",
-    "DesignKind",
-    "EmseReport",
-    "EstimatorEmse",
-    "EstimatorFamily",
-    "EstimatorKind",
-    "ExperimentConfig",
-    "FitResult",
-    "GaussianLaw",
-    "MarginalLogisticDesign",
-    "NoControlsSelectedError",
-    "RareLogitError",
-    "SCALING_LABEL",
-    "SampleDesign",
-    "SeparationError",
-    "SingularHessianError",
-    "SingularMomentMatrixError",
-    "SolverSettings",
-    "VarianceReport",
-    "calibrate_intercept",
-    "covariance",
-    "effective_sample_size",
-    "emse",
-    "fit_estimator",
-    "fit_mle",
-    "full_mle",
-    "generate_conditional",
-    "generate_marginal",
-    "gradient",
-    "hessian",
-    "limit_constants",
-    "loewner_ge",
-    "log_likelihood",
-    "moment_matrix",
-    "over_bias_corrected",
-    "over_weighted",
-    "oversample",
-    "oversampling_variance_factor",
-    "predict_prob",
-    "realize_design",
-    "run_experiment",
-    "substream",
-    "undersample",
-    "under_bias_corrected",
-    "under_weighted",
-    "v_full",
-    "v_over_bc",
-    "v_over_weighted",
-    "v_under_bc",
-    "v_under_weighted",
-    "weighted_moment_inequality_check",
-]
+# each public name is declared once, in its module's __all__
+__all__ = []
+__all__ += asymptotics.__all__
+__all__ += estimators.__all__
+__all__ += model.__all__
+__all__ += sampling.__all__
+__all__ += simulation.__all__

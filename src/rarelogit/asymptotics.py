@@ -11,8 +11,9 @@ e = exp(beta'x), the moment matrices are averages of
     over      e / (1 + k e) * z z'
     over_sq   e / (1 + k e)^2 * z z'
 
-for a constant k >= 0.  Every covariance is V = f * E(e) * B^-1 M B^-1,
-with bread B, meat M, constant k and factor f from one row per family:
+for a constant k >= 0.  Every covariance is V = f * E(e) * B^-1 M B^-1.
+It makes one plug-in pass over xs for z and e, and its bread B and meat M
+are two weightings of that pass, with k and factor f from one family row:
 
     family    bread       meat           k     f
     full      plain       none           -     1
@@ -88,7 +89,8 @@ class VarianceReport:
     lam: float | None = None
 
 
-def _as_sample(xs: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _plug_in(xs: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """One checked pass over a covariate sample: z = (1, x')', e = exp(beta'x), E(e)."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim == 1:
         xs = xs[:, None]
@@ -101,7 +103,52 @@ def _as_sample(xs: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray
         )
     if xs.shape[0] < xs.shape[1] + 1:
         raise ValueError("need at least d + 1 sample rows")
-    return xs, beta
+    with np.errstate(over="ignore", invalid="ignore"):
+        expo = xs @ beta
+    # a nan exponent fails the guard too; only then are the inputs scanned
+    if not np.max(np.abs(expo), initial=0.0) <= EXPONENT_GUARD:
+        if not np.all(np.isfinite(xs)):
+            raise ValueError("covariate sample must be finite")
+        if not np.all(np.isfinite(beta)):
+            raise ValueError("beta must be finite")
+        raise OverflowError(
+            f"exponent magnitude exceeds {EXPONENT_GUARD:g}; the plug-in "
+            "average would overflow"
+        )
+    e = np.exp(expo, out=expo)
+    with np.errstate(over="ignore"):
+        e_mean = float(np.mean(e))
+    if not np.isfinite(e_mean):
+        raise OverflowError("nonfinite integrand in the plug-in average")
+    return np.hstack([np.ones((xs.shape[0], 1)), xs]), e, e_mean
+
+
+# transform -> (its weight w(e, k) on z z', the power of 1 + k e in w)
+_INTEGRANDS = {
+    "plain": (lambda e, k: e, 0),
+    "times": (lambda e, k: e * (1.0 + k * e), 1),
+    "over": (lambda e, k: e / (1.0 + k * e), 1),
+    "over_sq": (lambda e, k: e / (1.0 + k * e) ** 2, 2),
+}
+
+
+def _symmetric(mat: np.ndarray) -> np.ndarray:
+    return 0.5 * (mat + mat.T)
+
+
+def _gram(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return _symmetric((v * w[:, None]).T @ v / v.shape[0])
+
+
+def _moment(z: np.ndarray, e: np.ndarray, transform: MomentTransform, k: float) -> np.ndarray:
+    weight, power = _INTEGRANDS[transform]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # 1 + k e is largest where e is; a numpy float's ** overflows to inf
+        peak = (1.0 + k * np.max(e)) ** power if power else 1.0
+        mat = _gram(z, weight(e, k))
+    if not (np.isfinite(peak) and np.all(np.isfinite(mat))):
+        raise OverflowError("nonfinite integrand in the plug-in average")
+    return mat
 
 
 def moment_matrix(
@@ -117,37 +164,13 @@ def moment_matrix(
     OverflowError, and so does an integrand that overflows, with no numpy
     warning.  For "over" and "over_sq" that includes 1 + k e (or its
     square) overflowing, which would turn their weights into zeros, not infs.
+    A sample or beta that is not finite raises ValueError.
     """
-    xs, beta = _as_sample(xs, beta)
+    if transform not in _INTEGRANDS:
+        raise ValueError(f"unknown transform {transform!r}")
     constant = _check_constant(constant, "constant")
-    expo = xs @ beta
-    if np.max(np.abs(expo), initial=0.0) > EXPONENT_GUARD:
-        raise OverflowError(
-            f"exponent magnitude exceeds {EXPONENT_GUARD:g}; the plug-in "
-            "average would overflow"
-        )
-    e = np.exp(expo)
-    # 1 + k e is largest where e is; a Python float overflows to inf silently
-    peak = 1.0 + constant * float(np.max(e)) if transform != "plain" else 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        if transform == "plain":
-            wgt = e
-        elif transform == "times":
-            wgt = e * (1.0 + constant * e)
-        elif transform == "over":
-            wgt = e / (1.0 + constant * e)
-        elif transform == "over_sq":
-            wgt = e / (1.0 + constant * e) ** 2
-            peak *= peak
-        else:
-            raise ValueError(f"unknown transform {transform!r}")
-        m = xs.shape[0]
-        z = np.hstack([np.ones((m, 1)), xs])
-        mat = (z * wgt[:, None]).T @ z / m
-        e_mean = float(np.mean(e))
-    if not (np.isfinite(peak) and np.isfinite(e_mean) and np.all(np.isfinite(mat))):
-        raise OverflowError("nonfinite integrand in the plug-in average")
-    return 0.5 * (mat + mat.T), e_mean
+    z, e, e_mean = _plug_in(xs, beta)
+    return _moment(z, e, transform, constant), e_mean
 
 
 def _sym_inverse(mat: np.ndarray) -> np.ndarray:
@@ -159,13 +182,7 @@ def _sym_inverse(mat: np.ndarray) -> np.ndarray:
         raise SingularMomentMatrixError(
             f"moment matrix is numerically singular (condition {cond:.3e})"
         )
-    inv = (vecs / vals) @ vecs.T
-    return 0.5 * (inv + inv.T)
-
-
-def _sandwich(bread_inv: np.ndarray, meat: np.ndarray) -> np.ndarray:
-    v = bread_inv @ meat @ bread_inv
-    return 0.5 * (v + v.T)
+    return _symmetric((vecs / vals) @ vecs.T)
 
 
 class _Sandwich(NamedTuple):
@@ -214,13 +231,12 @@ def covariance(
 
     row = _SANDWICHES[family]
     k = 0.0 if row.constant is None else used[row.constant]
-    bread, e_mean = moment_matrix(xs, beta, row.bread, k)
-    bread_inv = _sym_inverse(bread)
+    z, e, e_mean = _plug_in(xs, beta)
+    bread_inv = _sym_inverse(_moment(z, e, row.bread, k))
     if row.meat is None or k == 0.0:
         v = e_mean * bread_inv
     else:
-        meat, _ = moment_matrix(xs, beta, row.meat, k)
-        v = e_mean * _sandwich(bread_inv, meat)
+        v = e_mean * _symmetric(bread_inv @ _moment(z, e, row.meat, k) @ bread_inv)
     if family.design_kind is DesignKind.OVERSAMPLE:
         v = oversampling_variance_factor(used["lam"]) * v
     return VarianceReport(kind=family, v=v, **used)
@@ -334,11 +350,7 @@ def weighted_moment_inequality_check(vs: np.ndarray, hs: np.ndarray, tol: float 
         raise ValueError("hs must be one scalar per row of vs")
     if not np.all(np.isfinite(hs)) or np.any(hs <= 0.0):
         raise ValueError("h must be positive and finite")
-    m = vs.shape[0]
-    m0 = (vs.T @ vs) / m
-    mh = (vs * hs[:, None]).T @ vs / m
-    mih = (vs / hs[:, None]).T @ vs / m
-    m0_inv = _sym_inverse(0.5 * (m0 + m0.T))
-    lhs = _sandwich(m0_inv, 0.5 * (mh + mh.T))
-    rhs = _sym_inverse(0.5 * (mih + mih.T))
+    m0_inv = _sym_inverse(_gram(vs, np.ones_like(hs)))
+    lhs = _symmetric(m0_inv @ _gram(vs, hs) @ m0_inv)
+    rhs = _sym_inverse(_gram(vs, 1.0 / hs))
     return loewner_ge(lhs, rhs, tol)

@@ -44,6 +44,10 @@ __all__ = [
 MC_CALIBRATION_DRAWS = 10_000_000
 ALPHA_BRACKET = (-50.0, 50.0)
 QUAD_RANGE = 16.0
+# No numpy standard-normal draw z exceeds 13.71 in magnitude: the ziggurat's
+# tail draw is r - log(u)/r with r = 3.654 and u >= 2^-53.  So a covariate
+# draw mean + z * sd is finite whenever |mean| + 16 sd is.
+NORMAL_DRAW_BOUND = 16.0
 
 
 class CalibrationError(RareLogitError):
@@ -70,6 +74,9 @@ class GaussianLaw:
             raise ValueError("means must be finite")
         if not all(math.isfinite(s) and s > 0 for s in sds):
             raise ValueError("sds must be positive and finite")
+        for m, s in zip(means, sds):
+            if not math.isfinite(abs(m) + NORMAL_DRAW_BOUND * s):
+                raise ValueError(f"sd {s:g} with mean {m:g} lets a covariate draw overflow")
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "sds", sds)
 
@@ -141,6 +148,13 @@ class MarginalLogisticDesign:
     def __post_init__(self) -> None:
         if self.theta.beta.shape[0] != self.law.dim:
             raise ValueError("theta and covariate law dimensions differ")
+        # bounds |alpha + beta'x| over every draw the law can make
+        bound = abs(self.theta.alpha) + sum(
+            abs(float(b)) * (abs(m) + NORMAL_DRAW_BOUND * s)
+            for b, m, s in zip(self.theta.beta, self.law.means, self.law.sds)
+        )
+        if not math.isfinite(bound):
+            raise ValueError("theta and the covariate law let alpha + beta'x overflow")
 
     def true_coefficients(self) -> Coefficients:
         return self.theta
@@ -173,10 +187,10 @@ def generate_marginal(
     n: int, theta_t: Coefficients, law: GaussianLaw, rng: np.random.Generator
 ) -> Dataset:
     """Draw covariates from the law, then labels from the logistic model."""
+    # the design checks the dimensions and that alpha + beta'x cannot overflow
+    MarginalLogisticDesign(theta=theta_t, law=law)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if theta_t.beta.shape[0] != law.dim:
-        raise ValueError("theta_t and covariate law dimensions differ")
     x = law.sample(n, rng)
     p = expit(theta_t.alpha + x @ theta_t.beta)
     y = (rng.random(n) < p).astype(np.int64)
@@ -279,15 +293,21 @@ def emse(
 
     The total is formed as the sum of the componentwise means, so the
     decomposition total = alpha-part + sum(beta-parts) is an exact identity.
+    A squared error or mean that overflows raises OverflowError.
     """
     if len(estimates) == 0:
         raise ValueError("need at least one estimate")
     target = theta_t.as_vector()
-    errs = np.stack([est.as_vector() for est in estimates]) - target
-    if errs.shape[1] != target.shape[0]:
+    estimated = np.stack([est.as_vector() for est in estimates])
+    if estimated.shape[1] != target.shape[0]:
         raise ValueError("estimate and target dimensions differ")
-    per_component = np.mean(errs**2, axis=0)
-    return float(per_component[0] + per_component[1:].sum()), per_component
+    with np.errstate(over="ignore"):
+        per_component = np.mean((estimated - target) ** 2, axis=0)
+        total = float(per_component[0] + per_component[1:].sum())
+    # the components are >= 0, so the total is finite only when each one is
+    if not math.isfinite(total):
+        raise OverflowError("a squared estimation error is not finite")
+    return total, per_component
 
 
 @dataclass(frozen=True)

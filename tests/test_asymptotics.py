@@ -120,6 +120,32 @@ class TestMomentMatrix:
             with pytest.raises(OverflowError, match="nonfinite integrand in the plug-in average"):
                 moment_matrix(xs, BETA, transform, constant)
 
+    @pytest.mark.parametrize(
+        "xs, beta, message",
+        [
+            # a nan exponent used to pass the guard, since nan > 700 is false
+            ([[np.nan], [0.0], [1.0]], [1.0], "covariate sample must be finite"),
+            ([[np.inf], [0.0], [1.0]], [1.0], "covariate sample must be finite"),
+            ([[1.0], [0.0], [-1.0]], [np.nan], "beta must be finite"),
+            ([[1.0], [0.0], [-1.0]], [np.inf], "beta must be finite"),
+            ([[1.0, 2.0], [0.0, 1.0], [-1.0, 0.5]], [np.inf, -np.inf], "beta must be finite"),
+        ],
+        ids=["nan-x", "inf-x", "nan-beta", "inf-beta", "inf-minus-inf"],
+    )
+    def test_nonfinite_input_is_a_value_error(self, xs, beta, message):
+        for compute in (lambda: moment_matrix(xs, beta), lambda: v_full(xs, beta)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=message):
+                    compute()
+
+    def test_finite_overflowing_exponent_stays_an_overflow(self):
+        xs = np.array([[1e200], [0.0], [1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="exponent magnitude exceeds 700"):
+                moment_matrix(xs, [1e200], "over", 1.0)
+
     def test_sample_size_floor(self):
         with pytest.raises(ValueError):
             moment_matrix(np.array([[1.0]]), BETA, "plain")

@@ -466,6 +466,30 @@ class TestSweepCommand:
         assert capsys.readouterr().err.strip() == f"ValueError: threads must be >= 1, got {threads}"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--theta-t=-2,1", "--law-sd", "1e308"], "sd 1e+308 with mean 0 lets a covariate draw overflow"),
+            # used to exit 0 with inf eMSEs and no failed replication
+            (["--theta-t=-2,1e300", "--law-sd", "1e10"], "theta and the covariate law let alpha + beta'x overflow"),
+        ],
+        ids=["huge-sd", "huge-slope"],
+    )
+    def test_overflowing_design_is_an_input_error(self, tmp_path, capsys, monkeypatch, extra, message):
+        def no_replications(*args, **kwargs):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(cli, "run_experiment", no_replications)
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--n", 200, "--pi0-grid", 0.5, "--reps", 2, "--threads", 1, "--out", out]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(argv + extra)
+        assert code == 2
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert capsys.readouterr().err.splitlines() == [f"ValueError: {message}"]
+        assert not out.exists()
+
 
 class TestVarianceCommand:
     def test_over_weighted_factor(self, tmp_path):
@@ -627,6 +651,35 @@ class TestVarianceCommand:
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [f"ValueError: {message}"]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            # a nan exponent passed the overflow guard and exited 3
+            (["--beta", "nan"], "beta must be finite"),
+            (["--beta", "inf"], "beta must be finite"),
+            (["--beta", "inf,-inf", "--law-mean", "0,0"], "beta must be finite"),
+            (["--beta", "1", "--law-sd", "1e308"], "sd 1e+308 with mean 0 lets a covariate draw overflow"),
+        ],
+        ids=["nan-beta", "inf-beta", "inf-minus-inf-beta", "huge-law-sd"],
+    )
+    def test_nonfinite_plug_in_input_exits_2(self, tmp_path, capsys, extra, message):
+        out = tmp_path / "v.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(["variance", "--kind", "full", "--m", 50, "--out", out] + extra)
+        assert code == 2
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert capsys.readouterr().err.splitlines() == [f"ValueError: {message}"]
+        assert not out.exists()
+
+    def test_overflowing_law_draws_nothing(self, tmp_path, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("the law was sampled")
+
+        monkeypatch.setattr(cli, "substream", no_draws)
+        argv = ["variance", "--kind", "full", "--beta", 1, "--m", 50, "--law-sd", "1e308"]
+        assert run_cli(argv + ["--out", tmp_path / "v.csv"]) == 2
 
     def test_singular_sample_exits_3(self, tmp_path, capsys):
         xs_path = tmp_path / "xs.csv"

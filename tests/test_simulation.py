@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,39 @@ class TestGenerateConditional:
             ConditionalGaussianDesign(**kwargs)
 
 
+class TestCovariateLaw:
+    @pytest.mark.parametrize(
+        "means, sds, message",
+        [
+            ((0.0,), (1e308,), "sd 1e[+]308 with mean 0 lets a covariate draw overflow"),
+            ((0.0, 1.7e308), (1.0, 1e307), "sd 1e[+]307 with mean 1.7e[+]308 lets"),
+        ],
+        ids=["huge-sd", "huge-mean-and-sd"],
+    )
+    def test_overflowing_draws_rejected(self, means, sds, message):
+        with pytest.raises(ValueError, match=message):
+            GaussianLaw(means=means, sds=sds)
+
+    def test_law_within_the_bound_draws_finite(self):
+        law = GaussianLaw(means=(-1e300,), sds=(1e307,))
+        assert np.all(np.isfinite(law.sample(10_000, substream(4))))
+
+    @pytest.mark.parametrize(
+        "theta, law",
+        [
+            (Coefficients(-2.0, [1e300]), GaussianLaw(means=(0.0,), sds=(1e10,))),
+            (Coefficients(-2.0, [1.0, 1e300]), GaussianLaw(means=(0.0, 1e10), sds=(1.0, 1.0))),
+            (Coefficients(1e308, [1e308]), GaussianLaw.standard(1)),
+        ],
+        ids=["slope-times-sd", "slope-times-mean", "intercept-plus-slope"],
+    )
+    def test_overflowing_linear_predictor_rejected(self, theta, law):
+        with pytest.raises(ValueError, match="let alpha [+] beta'x overflow"):
+            MarginalLogisticDesign(theta=theta, law=law)
+        with pytest.raises(ValueError, match="let alpha [+] beta'x overflow"):
+            generate_marginal(10, theta, law, substream(0))
+
+
 class TestGenerateMarginal:
     def test_case_count_near_expectation(self):
         theta = Coefficients(-6.0, [1.0])
@@ -235,6 +269,23 @@ class TestEmse:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             emse([], Coefficients(0.0, [0.0]))
+
+    @pytest.mark.parametrize(
+        "estimates, theta",
+        [
+            ([Coefficients(0.0, [0.0])], Coefficients(0.0, [1e200])),
+            ([Coefficients(1e308, [0.0])], Coefficients(-1e308, [0.0])),
+            # each squared error is finite; their sum over components is not
+            ([Coefficients(1.3e154, [1.3e154])], Coefficients(0.0, [0.0])),
+        ],
+        ids=["square", "difference", "total"],
+    )
+    def test_overflowing_error_raises(self, estimates, theta):
+        # it used to return inf with a numpy RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="squared estimation error is not finite"):
+                emse(estimates, theta)
 
 
 class TestRunExperiment:

@@ -8,12 +8,14 @@ problems and designs.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal
 
 from rarelogit import (
     Dataset,
+    DesignKind,
     EstimatorFamily,
     EstimatorKind,
     RareLogitError,
@@ -23,6 +25,7 @@ from rarelogit import (
     fit_estimator,
     fit_mle,
     full_mle,
+    moment_matrix,
     oversample,
     oversampling_variance_factor,
     substream,
@@ -42,6 +45,16 @@ sizes = st.integers(30, 300)
 dims = st.integers(1, 3)
 pi0s = st.floats(0.05, 1.0)
 lambdas = st.floats(0.0, 6.0)
+
+# each family's bread, meat and constant as the paper gives them, written
+# out here apart from the package's table so that a wrong row fails
+SANDWICHES = {
+    F.FULL: ("plain", None, None),
+    F.UNDER_WEIGHTED: ("plain", "times", "c"),
+    F.UNDER_BIAS_CORRECTED: ("over", None, "c"),
+    F.OVER_WEIGHTED: ("plain", None, None),
+    F.OVER_BIAS_CORRECTED: ("over", "over_sq", "c_o"),
+}
 
 
 def rare_problem(seed, n, d):
@@ -167,3 +180,20 @@ class TestCovarianceTable:
         assert_array_equal(covariance(F.OVER_WEIGHTED, xs, beta, lam=0.0).v, full)
         factor = oversampling_variance_factor(lam)
         assert_array_equal(covariance(F.OVER_WEIGHTED, xs, beta, lam=lam).v, factor * full)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("family", list(F))
+    def test_covariance_is_its_rows_sandwich(self, family, d):
+        rng = np.random.default_rng(2000 + d)
+        xs = rng.normal(0.3, 1.2, (400, d))
+        beta = rng.uniform(-1.0, 1.0, d)
+        constants = {"c": 0.7, "c_o": 1.3, "lam": 2.0}
+        bread_name, meat_name, constant = SANDWICHES[family]
+        k = 0.0 if constant is None else constants[constant]
+        bread, e_mean = moment_matrix(xs, beta, bread_name, k)
+        meat = bread if meat_name is None else moment_matrix(xs, beta, meat_name, k)[0]
+        oversampled = family.design_kind is DesignKind.OVERSAMPLE
+        f = oversampling_variance_factor(constants["lam"]) if oversampled else 1.0
+        bread_inv = np.linalg.inv(bread)
+        expected = f * e_mean * bread_inv @ meat @ bread_inv
+        assert_allclose(covariance(family, xs, beta, **constants).v, expected, rtol=1e-9)
