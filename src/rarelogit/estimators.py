@@ -11,8 +11,9 @@ of a realized design and pi(y) its inclusion probability (see sampling):
     over-w    oversample   delta_i / pi(y_i)  none
     over-bc   oversample   delta_i            log(pi(0) / pi(1))
 
-The solver drops rows of weight zero, so an under-sampled fit runs on the
-selected rows only.  The shift follows convergence, so diagnostics describe
+An under-sampled fit runs on the selected rows only, gathered from the
+dataset's z' once per design; an over-sampled fit runs on every row with
+its count as a weight.  The shift follows convergence, so diagnostics describe
 the unshifted fit and the pair fitted on one design is deterministic.
 """
 
@@ -165,11 +166,14 @@ def fit_estimator(
 ) -> FitResult:
     """Fit the estimator named by kind on a realized design.
 
-    One weighted MLE over all n rows with the family's weights, then the
-    family's exact intercept shift at the design's rate.  The weights and
-    the shift come from the design's kind, rate and indicators and the
-    labels.  A design of another kind or rate than kind's raises
-    ValueError.  The design is ignored for the full-data estimator.
+    One weighted MLE over the rows the design uses, then the family's
+    exact intercept shift at the design's rate.  An under-sampling design
+    hands the solver its selected rows only, an over-sampling design every
+    row with its count (see SampleDesign.select).  The weights (the counts,
+    divided by pi(y) for the weighted families) and the shift come from
+    the design's kind, rate and counts and the labels.  A design of
+    another kind or rate than kind's raises ValueError.  The design is
+    ignored for the full-data estimator.
 
     start, when given, is a point on the scale of the returned theta, such
     as another estimator's estimate on the same data.  The solver starts at
@@ -179,6 +183,7 @@ def fit_estimator(
     """
     row = _ESTIMATORS[kind.tag]
     shift = None
+    used = data
     if row.design is None:
         weights = np.ones(data.n)
     else:
@@ -192,20 +197,18 @@ def fit_estimator(
             )
         if design.n != data.n:
             raise ValueError("design and dataset lengths differ")
-        if design.kind is DesignKind.UNDERSAMPLE and not np.any(
-            data.y[design.indicators == 1] == 0
-        ):
+        used, weights = design.select(data)
+        if design.kind is DesignKind.UNDERSAMPLE and used.n0 == 0:
             raise NoControlsSelectedError(
                 f"no controls selected at pi0={design.rate:g} (n0={data.n0})"
             )
-        weights = design.indicators
         if row.weighted:
-            weights = weights / design.kind.inclusion_weight(design.rate, data.y)
+            weights = weights / design.kind.inclusion_weight(design.rate, used.y)
         else:
             shift = design.kind.intercept_shift(design.rate)
     if start is not None and shift is not None:
         start = Coefficients(start.alpha - shift, start.beta)
-    fit = fit_mle(data, weights, init=start, settings=settings)
+    fit = fit_mle(used, weights, init=start, settings=settings)
     if shift is None:
         return fit
     shifted = Coefficients(fit.theta.alpha + shift, fit.theta.beta)

@@ -11,6 +11,7 @@ convergent on this concave objective whenever the maximizer exists.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,8 +68,8 @@ class Dataset:
     """Covariate rows plus binary labels.
 
     x has shape (n, d) and carries no intercept column; the augmented
-    vector z = (1, x')' is formed internally by every operation.  y holds
-    0/1 labels.  Case and control counts are derived at construction.
+    design z' = [1; x'] is built once, on first use, as zt.  y holds 0/1
+    labels.  Case and control counts are derived at construction.
     """
 
     x: np.ndarray
@@ -103,6 +104,36 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.x.shape[1]
+
+    @functools.cached_property
+    def zt(self) -> np.ndarray:
+        """The (1 + d) x n transpose z' = [1; x'] that every fit reads.
+
+        np.vstack lays it out in C order for d = 1 but in Fortran order
+        (row-major z rows) for d >= 2; the BLAS calls of a fit round
+        differently on the other order, so take() keeps this layout.
+        """
+        return np.vstack((np.ones(self.n), self.x.T))
+
+    def take(self, rows: np.ndarray) -> "Dataset":
+        """The dataset of the given rows, in their order, gathered from zt.
+
+        rows are indices into this dataset and are not re-checked, and
+        neither are the gathered values.  The result's x is a view of its
+        own zt, whose memory order matches what zt would be for those rows.
+        """
+        zt = self.zt
+        if zt.flags.c_contiguous:
+            zt = np.take(zt, rows, axis=1)
+        else:
+            zt = np.take(zt.T, rows, axis=0).T
+        y = np.take(self.y, rows)
+        n1 = int(y.sum())
+        sub = object.__new__(Dataset)
+        for name, value in (("x", zt[1:].T), ("y", y), ("n1", n1), ("n0", y.shape[0] - n1)):
+            object.__setattr__(sub, name, value)
+        sub.__dict__["zt"] = zt
+        return sub
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,18 +244,19 @@ def predict_prob(theta: Coefficients, x_row: np.ndarray) -> float:
 class _Kernel:
     """The weighted log-likelihood of one problem, evaluated in place.
 
-    The design is held once as z' = [1; x'], the (1 + d) x n layout BLAS
-    wants, next to fixed row buffers, so an evaluation allocates nothing
-    of length n.  Each theta costs one exp per row: with eta = z'theta and
-    e = exp(-|eta|), log(1 + e^eta) = max(eta, 0) + log1p(e), p = e/(1 + e)
-    or 1 - e/(1 + e) by the sign of eta, and p(1 - p) = e/(1 + e)^2.
+    The design is the dataset's z' = [1; x'] (see Dataset.zt for its
+    memory order), read next to fixed row buffers, so an evaluation
+    allocates nothing of length n.  Each theta costs one exp per row: with
+    eta = z'theta and e = exp(-|eta|), log(1 + e^eta) = max(eta, 0) +
+    log1p(e), p = e/(1 + e) or 1 - e/(1 + e) by the sign of eta, and
+    p(1 - p) = e/(1 + e)^2.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, w: np.ndarray) -> None:
-        self.zt = np.vstack((np.ones(x.shape[0]), x.T))
+    def __init__(self, data: Dataset, w: np.ndarray) -> None:
+        self.zt = data.zt
         self.zv = np.empty_like(self.zt)
-        self.w, self.wy = w, w * y
-        self.eta, self.e, self.p, self.phi = np.empty((4, x.shape[0]))
+        self.w, self.wy = w, w * data.y
+        self.eta, self.e, self.p, self.phi = np.empty((4, data.n))
 
     def objective(self, theta_vec: np.ndarray) -> float:
         """Objective at theta; keeps its eta and e for derivatives()."""
@@ -253,7 +285,7 @@ class _Kernel:
 
 
 def _evaluated(data: Dataset, weights: np.ndarray, theta: Coefficients) -> tuple:
-    kernel = _Kernel(data.x, data.y, _check_weights(data, weights))
+    kernel = _Kernel(data, _check_weights(data, weights))
     return kernel, kernel.objective(_check_theta(data, theta))
 
 
@@ -299,7 +331,8 @@ def fit_mle(
 ) -> FitResult:
     """Maximize the weighted log-likelihood by damped Newton ascent.
 
-    Zero-weight rows are dropped up front; the remaining weights are
+    Zero-weight rows are dropped up front (a caller that fits a subset of
+    rows can pass Dataset.take of them instead); the remaining weights are
     rescaled by their maximum, so fits are exactly invariant under
     positive rescaling of the weight vector.  Steps are halved (at most
     30 times) until the objective does not decrease beyond its float
@@ -321,19 +354,17 @@ def fit_mle(
     SeparationError : iterates escaped past divergence_bound.
     SingularHessianError : Newton system unsolvable at a non-stationary point.
     """
-    w_all = _check_weights(data, weights)
-
-    # with every weight positive, a slice selects views instead of copies;
-    # otherwise row indices gather the rows several times faster than a mask
-    positive = w_all > 0
-    active = slice(None) if positive.all() else np.flatnonzero(positive)
-    x, y, w = data.x[active], data.y[active], w_all[active]
+    w = _check_weights(data, weights)
+    if w.min() == 0.0:
+        active = np.flatnonzero(w)
+        data, w = data.take(active), w[active]
+    y = data.y
     if not np.any(y == 1) or not np.any(y == 0):
         raise AllOneClassError(
             "need at least one positively weighted case and one control"
         )
     w = w / w.max()
-    kernel = _Kernel(x, y, w)
+    kernel = _Kernel(data, w)
 
     if init is None:
         # start at the intercept-only MLE: the weighted log-odds of a case

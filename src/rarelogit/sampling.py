@@ -13,16 +13,17 @@ these rules:
     undersample  pi0        pi0 + (1 - pi0) y   log(pi0)
     oversample   lambda_n   1 + lambda_n y      -log(1 + lambda_n)
 
-A realized plan is its kind, its rate and one count per row of its parent
-dataset, index-aligned with it.  It stores no pi(y): a fit computes pi(y)
-from the kind and rate, so the two cannot disagree.
+A realized plan is its kind, its rate and what it uses of its parent
+dataset: the indices of the rows it selects (under-sampling) or one count
+per row (over-sampling).  A fit runs on those rows only.  The plan stores
+no pi(y): a fit computes pi(y) from the kind and rate, so the two cannot
+disagree.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,52 +86,92 @@ class DesignKind(enum.Enum):
         return -math.log1p(rate)
 
 
-@dataclass(frozen=True, eq=False)
 class SampleDesign:
-    """A realized sampling plan: its kind, its rate and a count for every row.
+    """A realized sampling plan: its kind, its rate and the rows it uses.
 
-    indicators[i] is the number of times row i enters the subsample: 0/1
-    selection flags for under-sampling, replication counts >= 1 for
-    over-sampling.  Its conditional expectation given the data is pi(y_i),
-    which DesignKind.inclusion_weight computes from the kind and rate.
+    An under-sampling plan holds rows, the increasing indices of the rows
+    it selects; an over-sampling plan holds counts, the number of times
+    each row of the parent dataset enters the subsample (>= 1).  The
+    constructor takes either as indicators, one count per row of the
+    parent dataset (0/1 selection flags for under-sampling), and the
+    indicators property gives them back in that form.  A count's
+    conditional expectation given the data is pi(y_i), which
+    DesignKind.inclusion_weight computes from the kind and rate.
     """
 
     kind: DesignKind
     rate: float
-    indicators: np.ndarray
+    n: int
+    rows: np.ndarray | None
+    counts: np.ndarray | None
 
-    def __post_init__(self) -> None:
-        rate = self.kind.check_rate(self.rate)
-        ind = np.asarray(self.indicators)
+    def __init__(self, kind: DesignKind, rate: float, indicators: np.ndarray) -> None:
+        rate = kind.check_rate(rate)
+        ind = np.asarray(indicators)
         if ind.ndim != 1:
             raise ValueError(f"indicators must be a vector, got ndim={ind.ndim}")
         if ind.dtype.kind not in "biu" and not np.all(np.isfinite(ind) & (ind == np.floor(ind))):
             raise ValueError("indicators must be finite whole-number counts")
         ind = np.asarray(ind, dtype=np.int64)
-        if self.kind is DesignKind.UNDERSAMPLE:
+        if kind is DesignKind.UNDERSAMPLE:
             if not np.all((ind == 0) | (ind == 1)):
                 raise ValueError("under-sampling indicators must be 0/1")
+            held = {"rows": np.flatnonzero(ind)}
         elif not np.all(ind >= 1):
             raise ValueError("over-sampling counts must be >= 1")
-        object.__setattr__(self, "rate", rate)
-        object.__setattr__(self, "indicators", ind)
+        else:
+            held = {"counts": ind}
+        self._hold(kind, rate, ind.shape[0], **held)
+
+    @classmethod
+    def _drawn(cls, kind: DesignKind, rate: float, n: int, **held: np.ndarray) -> "SampleDesign":
+        """A design whose rows or counts are valid by construction: no checks."""
+        design = cls.__new__(cls)
+        design._hold(kind, rate, n, **held)
+        return design
+
+    def _hold(self, kind, rate, n, rows=None, counts=None) -> None:
+        self.kind, self.rate, self.n = kind, rate, n
+        self.rows, self.counts = rows, counts
+        self._selected: tuple[Dataset, Dataset] | None = None
 
     @property
-    def n(self) -> int:
-        return self.indicators.shape[0]
+    def indicators(self) -> np.ndarray:
+        """The count of every row of the parent dataset, as int64."""
+        if self.rows is None:
+            return self.counts
+        ind = np.zeros(self.n, dtype=np.int64)
+        ind[self.rows] = 1
+        return ind
+
+    def select(self, data: Dataset) -> tuple[Dataset, np.ndarray]:
+        """The rows of data this plan uses, and each one's count.
+
+        An under-sampling plan's rows are gathered by Dataset.take once per
+        dataset, so the two fits on one design share them; all rows
+        selected means the data itself.  data must be the design's parent
+        (its length is not checked here).
+        """
+        if self.rows is None:
+            return data, self.counts
+        if self._selected is None or self._selected[0] is not data:
+            rows = self.rows
+            self._selected = (data, data if rows.shape[0] == data.n else data.take(rows))
+        subset = self._selected[1]
+        return subset, np.ones(subset.n)
 
 
 def undersample(data: Dataset, pi0: float, rng: np.random.Generator) -> SampleDesign:
     """Keep all cases; keep each control independently with probability pi0.
 
-    Indicators follow delta_i = y_i + (1 - y_i) 1{u_i <= pi0} with u_i iid
-    uniform(0, 1) drawn from rng.
+    Row i is selected when delta_i = y_i + (1 - y_i) 1{u_i <= pi0} is one,
+    with u_i iid uniform(0, 1) drawn from rng.
     """
     kind = DesignKind.UNDERSAMPLE
     pi0 = kind.check_rate(pi0)
     u = rng.random(data.n)
-    ind = np.where(data.y == 1, 1, (u <= pi0).astype(np.int64))
-    return SampleDesign(kind=kind, rate=pi0, indicators=ind)
+    rows = np.flatnonzero((data.y == 1) | (u <= pi0))
+    return SampleDesign._drawn(kind, pi0, data.n, rows=rows)
 
 
 def oversample(data: Dataset, lambda_n: float, rng: np.random.Generator) -> SampleDesign:
@@ -142,10 +183,11 @@ def oversample(data: Dataset, lambda_n: float, rng: np.random.Generator) -> Samp
     kind = DesignKind.OVERSAMPLE
     lambda_n = kind.check_rate(lambda_n)
     v = rng.poisson(lam=lambda_n, size=data.n)
-    ind = data.y * v + 1
-    return SampleDesign(kind=kind, rate=lambda_n, indicators=ind)
+    return SampleDesign._drawn(kind, lambda_n, data.n, counts=data.y * v + 1)
 
 
 def effective_sample_size(design: SampleDesign) -> int:
     """Realized number of data points used: the sum of the indicators."""
-    return int(design.indicators.sum())
+    if design.rows is None:
+        return int(design.counts.sum())
+    return design.rows.shape[0]

@@ -41,7 +41,6 @@ __all__ = [
     "run_experiment",
 ]
 
-MC_CALIBRATION_DRAWS = 10_000_000
 ALPHA_BRACKET = (-50.0, 50.0)
 QUAD_RANGE = 16.0
 # No numpy standard-normal draw z exceeds 13.71 in magnitude: the ziggurat's
@@ -223,19 +222,16 @@ def calibrate_intercept(
     target_rate: float,
     precision: float = 1e-8,
     method: str = "auto",
-    rng: np.random.Generator | None = None,
 ) -> float:
     """Solve E_x[p(alpha, beta)] = target_rate for alpha by monotone bisection.
 
     The event rate is strictly increasing in alpha, so bisection over
     [-50, 50] converges; it stops at the first alpha whose rate is within
     precision * target_rate of the target.  For the independent Gaussian
-    law, beta'x is exactly N(beta'mu, sum_j beta_j^2 sd_j^2), so "auto" and
-    "quadrature" compute the rate by adaptive quadrature over that normal.
-    "mc" uses a fixed 10^7-draw Monte Carlo sample instead (drawn once from
-    rng and reused, so the solution is exact for that sample's empirical
-    law).  With an all-zero slope the closed form log(rho/(1-rho)) is
-    returned directly.
+    law, beta'x is exactly N(beta'mu, sum_j beta_j^2 sd_j^2), so the rate
+    is computed by adaptive quadrature over that normal; "auto" and
+    "quadrature" are the two names of that one method.  With an all-zero
+    slope the closed form log(rho/(1-rho)) is returned directly.
     """
     beta = np.atleast_1d(np.asarray(beta, dtype=np.float64))
     if beta.shape != (law.dim,):
@@ -244,25 +240,16 @@ def calibrate_intercept(
         raise ValueError("target_rate must be in (0, 1)")
     if not precision > 0:
         raise ValueError("precision must be positive")
-    if method not in ("auto", "quadrature", "mc"):
+    if method not in ("auto", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
     if np.all(beta == 0.0):
         return math.log(target_rate / (1.0 - target_rate))
 
-    if method == "mc":
-        if rng is None:
-            raise ValueError("Monte Carlo calibration requires an rng")
-        proj = law.sample(MC_CALIBRATION_DRAWS, rng) @ beta
+    mean = float(beta @ np.asarray(law.means))
+    sd = float(np.sqrt(np.sum((beta * np.asarray(law.sds)) ** 2)))
 
-        def event_rate(alpha: float) -> float:
-            return float(np.mean(expit(alpha + proj)))
-
-    else:
-        mean = float(beta @ np.asarray(law.means))
-        sd = float(np.sqrt(np.sum((beta * np.asarray(law.sds)) ** 2)))
-
-        def event_rate(alpha: float) -> float:
-            return _quadrature_event_rate(alpha, mean, sd)
+    def event_rate(alpha: float) -> float:
+        return _quadrature_event_rate(alpha, mean, sd)
 
     lo, hi = ALPHA_BRACKET
     f_lo = event_rate(lo)

@@ -10,6 +10,7 @@ Monte Carlo fixtures take a few minutes each on one core.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from rarelogit.cli import main as cli_main
 from _oracles import fd_gradient, fd_jacobian, grid_max_loglik
 
 SEED = 20260810
+# run_experiment's report is bit-identical for any thread count
+THREADS = os.cpu_count() or 1
 THETA_T = rl.Coefficients(-6.0, [1.0])
 LAW = rl.GaussianLaw.standard(1)
 MARGINAL = rl.MarginalLogisticDesign(theta=THETA_T, law=LAW)
@@ -40,7 +43,7 @@ def under_sweep():
     config = rl.ExperimentConfig(
         design=MARGINAL, n=100_000, reps=500, estimators=tuple(kinds), base_seed=SEED
     )
-    return rl.run_experiment(config)
+    return rl.run_experiment(config, threads=THREADS)
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +54,7 @@ def over_sweep():
     config = rl.ExperimentConfig(
         design=MARGINAL, n=100_000, reps=500, estimators=tuple(kinds), base_seed=SEED
     )
-    return rl.run_experiment(config)
+    return rl.run_experiment(config, threads=THREADS)
 
 
 def test_criterion_1_table1_reproduction():
@@ -67,7 +70,7 @@ def test_criterion_1_table1_reproduction():
             estimators=(K(F.FULL),),
             base_seed=SEED,
         )
-        entry = rl.run_experiment(config).entries[0]
+        entry = rl.run_experiment(config, threads=THREADS).entries[0]
         expected_n1 = n * rate
         scaled_alpha[n] = expected_n1 * entry.emse_alpha
         scaled_beta[n] = expected_n1 * sum(entry.emse_beta)

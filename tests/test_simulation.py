@@ -208,20 +208,10 @@ class TestCalibrateIntercept:
         with pytest.raises(CalibrationError):
             calibrate_intercept([1.0], GaussianLaw.standard(1), 1e-30)
 
-    def test_monte_carlo_matches_quadrature(self):
-        law = GaussianLaw(means=(0.0, 0.5), sds=(1.0, 2.0))
-        beta = np.array([1.0, -0.5])
-        alpha = calibrate_intercept(beta, law, 0.05, precision=1e-6, method="mc", rng=substream(8))
-        # combined linear predictor is Gaussian: mean 0.25 + alpha... check by 1-d reduction
-        proj_mean = 0.0 * 1.0 + 0.5 * -0.5
-        proj_sd = math.sqrt(1.0**2 + 1.0**2)
-        assert event_rate_by_quadrature(alpha, 1.0, proj_mean, proj_sd) == pytest.approx(
-            0.05, abs=5e-4
-        )
-
-    def test_mc_requires_rng(self):
-        with pytest.raises(ValueError):
-            calibrate_intercept([1.0, 1.0], GaussianLaw.standard(2), 0.05, method="mc")
+    def test_only_quadrature_methods(self):
+        # quadrature is exact for the Gaussian law at every d; there is no Monte Carlo method
+        with pytest.raises(ValueError, match="unknown method 'mc'"):
+            calibrate_intercept([1.0], GaussianLaw.standard(1), 0.05, method="mc")
 
     @pytest.mark.parametrize("rate", [1e-6, 1e-8, 1e-12])
     def test_precision_is_relative_to_the_rate(self, rate):

@@ -2,7 +2,9 @@
 
 Each estimator is one weighted MLE plus an exact intercept shift, and each
 covariance is one sandwich; these properties pin both tables on random
-problems and designs.
+problems and designs.  A design holds only the rows it selects or its
+counts, and a fit gathers those rows from the dataset's z' = [1; x']; the
+last properties pin that compact form against the full-length indicators.
 """
 
 import math
@@ -22,6 +24,7 @@ from rarelogit import (
     SampleDesign,
     SingularMomentMatrixError,
     covariance,
+    effective_sample_size,
     fit_estimator,
     fit_mle,
     full_mle,
@@ -161,6 +164,57 @@ class TestEstimatorTable:
                 assume(a.converged and b.converged)
                 ta, tb = a.theta.as_vector(), b.theta.as_vector()
                 assert np.max(np.abs(ta - tb)) <= 1e-10 * np.max(np.abs(ta))
+
+
+class TestCompactDesign:
+    @PROPERTY
+    @given(seed=seeds, n=sizes, d=dims, pi0=pi0s, lam=lambdas)
+    def test_drawn_and_constructed_designs_agree(self, seed, n, d, pi0, lam):
+        data = rare_problem(seed, n, d)
+        for families, drawn in (
+            (UNDER, undersample(data, pi0, substream(seed))),
+            (OVER, oversample(data, lam, substream(seed))),
+        ):
+            built = SampleDesign(kind=drawn.kind, rate=drawn.rate, indicators=drawn.indicators)
+            assert drawn.indicators.dtype == built.indicators.dtype == np.int64
+            assert_array_equal(drawn.indicators, built.indicators)
+            for held in ("rows", "counts"):
+                a, b = getattr(drawn, held), getattr(built, held)
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert_array_equal(a, b)
+            assert effective_sample_size(drawn) == effective_sample_size(built)
+            assert effective_sample_size(built) == int(built.indicators.sum())
+            for family in families:
+                kind = EstimatorKind(family, drawn.rate)
+                assert outcome(lambda: fit_estimator(kind, data, drawn)) == outcome(
+                    lambda: fit_estimator(kind, data, built)
+                )
+
+    @PROPERTY
+    @given(seed=seeds, n=sizes, d=dims, pi0=pi0s)
+    def test_undersample_rows_are_its_selection(self, seed, n, d, pi0):
+        data = rare_problem(seed, n, d)
+        design = undersample(data, pi0, substream(seed))
+        assert_array_equal(design.rows, np.flatnonzero(design.indicators))
+        # the same single uniform draw as delta_i = y_i + (1 - y_i) 1{u_i <= pi0}
+        u = substream(seed).random(n)
+        assert_array_equal(design.indicators, np.where(data.y == 1, 1, u <= pi0))
+
+    @PROPERTY
+    @given(seed=seeds, n=sizes, d=dims, pi0=pi0s)
+    def test_transpose_and_gathers_keep_the_vstack_layout(self, seed, n, d, pi0):
+        # the kernel's BLAS calls round differently on the other memory order
+        data = rare_problem(seed, n, d)
+        rows = undersample(data, pi0, substream(seed)).rows
+        for zt, x in ((data.zt, data.x), (data.take(rows).zt, data.x[rows])):
+            expected = np.vstack((np.ones(x.shape[0]), x.T))
+            assert_array_equal(zt, expected)
+            assert zt.strides == expected.strides
+        sub = data.take(rows)
+        assert_array_equal(sub.x, data.x[rows])
+        assert_array_equal(sub.y, data.y[rows])
+        assert (sub.n1, sub.n0) == (int(data.y[rows].sum()), int((data.y[rows] == 0).sum()))
 
 
 class TestCovarianceTable:
