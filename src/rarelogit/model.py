@@ -11,7 +11,10 @@ convergent on this concave objective whenever the maximizer exists.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import threading
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,6 +73,12 @@ class Dataset:
     x has shape (n, d) and carries no intercept column; the augmented
     design z' = [1; x'] is built once, on first use, as zt.  y holds 0/1
     labels.  Case and control counts are derived at construction.
+
+    Besides zt, the first fit allocates a workspace of (d + 7) x n doubles
+    for the Newton kernel's buffers; every later fit on this dataset or on
+    a take() subset of it reuses it, one fit at a time.  The workspace is
+    freed with the last of the dataset and its subsets, and it is not part
+    of the pickled or copied state.
     """
 
     x: np.ndarray
@@ -106,6 +115,15 @@ class Dataset:
         return self.x.shape[1]
 
     @functools.cached_property
+    def _workspace(self) -> "_Workspace":
+        return _Workspace((self.d + 7) * self.n)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_workspace", None)
+        return state
+
+    @functools.cached_property
     def zt(self) -> np.ndarray:
         """The (1 + d) x n transpose z' = [1; x'] that every fit reads.
 
@@ -120,7 +138,8 @@ class Dataset:
 
         rows are indices into this dataset and are not re-checked, and
         neither are the gathered values.  The result's x is a view of its
-        own zt, whose memory order matches what zt would be for those rows.
+        own zt, whose memory order matches what zt would be for those rows,
+        and its fits borrow this dataset's workspace.
         """
         zt = self.zt
         if zt.flags.c_contiguous:
@@ -133,7 +152,34 @@ class Dataset:
         for name, value in (("x", zt[1:].T), ("y", y), ("n1", n1), ("n0", y.shape[0] - n1)):
             object.__setattr__(sub, name, value)
         sub.__dict__["zt"] = zt
+        sub.__dict__["_workspace"] = self._workspace
         return sub
+
+
+class _Workspace:
+    """A flat float64 buffer that the fits on one dataset borrow in turn.
+
+    It is allocated on the first borrow, at the size of the dataset that
+    made it.  A borrow that finds it in use (another thread's fit on the
+    dataset or a subset of it) or too small gets a fresh private buffer.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.buf: np.ndarray | None = None
+        self.lock = threading.Lock()
+
+    @contextlib.contextmanager
+    def borrow(self, size: int) -> Iterator[np.ndarray]:
+        if size > self.size or not self.lock.acquire(blocking=False):
+            yield np.empty(size)
+            return
+        try:
+            if self.buf is None:
+                self.buf = np.empty(self.size)
+            yield self.buf
+        finally:
+            self.lock.release()
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,7 +253,10 @@ class FitResult:
 
 
 def _check_weights(data: Dataset, weights: np.ndarray) -> np.ndarray:
-    w = np.asarray(weights, dtype=np.float64)
+    w = np.asarray(weights)
+    if w.dtype.kind not in "iu":
+        # integer counts stay as they are: the kernel converts them as it rescales
+        w = w.astype(np.float64, copy=False)
     if w.shape != (data.n,):
         raise ValueError(f"weights must have shape ({data.n},), got {w.shape}")
     if not np.all(np.isfinite(w)):
@@ -245,18 +294,31 @@ class _Kernel:
     """The weighted log-likelihood of one problem, evaluated in place.
 
     The design is the dataset's z' = [1; x'] (see Dataset.zt for its
-    memory order), read next to fixed row buffers, so an evaluation
-    allocates nothing of length n.  Each theta costs one exp per row: with
-    eta = z'theta and e = exp(-|eta|), log(1 + e^eta) = max(eta, 0) +
-    log1p(e), p = e/(1 + e) or 1 - e/(1 + e) by the sign of eta, and
-    p(1 - p) = e/(1 + e)^2.
+    memory order).  Every row buffer is a view of buf, which holds at
+    least (d + 7) x n doubles: the weighted design zv in zt's memory
+    order, eta, e, p, phi, w / scale and w * y.  So neither building the
+    kernel nor an evaluation allocates anything of length n.  Each theta
+    costs one exp per row: with eta = z'theta and e = exp(-|eta|),
+    log(1 + e^eta) = max(eta, 0) + log1p(e), p = e/(1 + e) or
+    1 - e/(1 + e) by the sign of eta, and p(1 - p) = e/(1 + e)^2.
     """
 
-    def __init__(self, data: Dataset, w: np.ndarray) -> None:
+    def __init__(self, data: Dataset, w: np.ndarray, scale: float, buf: np.ndarray) -> None:
+        k, n = data.d + 1, data.n
         self.zt = data.zt
-        self.zv = np.empty_like(self.zt)
-        self.w, self.wy = w, w * data.y
-        self.eta, self.e, self.p, self.phi = np.empty((4, data.n))
+        zv = buf[: k * n]
+        self.zv = zv.reshape(k, n) if self.zt.flags.c_contiguous else zv.reshape(n, k).T
+        rows = buf[k * n : (k + 6) * n].reshape(6, n)
+        self.eta, self.e, self.p, self.phi, self.w, self.wy = rows
+        np.divide(w, scale, out=self.w)
+        np.multiply(self.w, data.y, out=self.wy)
+
+    @classmethod
+    @contextlib.contextmanager
+    def borrowing(cls, data: Dataset, w: np.ndarray, scale: float) -> Iterator["_Kernel"]:
+        """The kernel of weights w / scale, in a buffer borrowed from data."""
+        with data._workspace.borrow((data.d + 7) * data.n) as buf:
+            yield cls(data, w, scale, buf)
 
     def objective(self, theta_vec: np.ndarray) -> float:
         """Objective at theta; keeps its eta and e for derivatives()."""
@@ -284,24 +346,28 @@ class _Kernel:
             return self.zt @ p, 0.5 * (h + h.T)
 
 
-def _evaluated(data: Dataset, weights: np.ndarray, theta: Coefficients) -> tuple:
-    kernel = _Kernel(data, _check_weights(data, weights))
-    return kernel, kernel.objective(_check_theta(data, theta))
+def _evaluate(data: Dataset, weights: np.ndarray, theta: Coefficients, derivative: int | None):
+    """The objective at theta, or entry derivative of the kernel's derivatives()."""
+    w = _check_weights(data, weights)
+    theta_vec = _check_theta(data, theta)
+    with _Kernel.borrowing(data, w, 1.0) as kernel:  # w / 1.0 is w exactly
+        obj = kernel.objective(theta_vec)
+        return obj if derivative is None else kernel.derivatives()[derivative]
 
 
 def log_likelihood(data: Dataset, weights: np.ndarray, theta: Coefficients) -> float:
     """Weighted log-likelihood sum_i w_i {y_i z_i'theta - log(1 + e^{z_i'theta})}."""
-    return _evaluated(data, weights, theta)[1]
+    return _evaluate(data, weights, theta, None)
 
 
 def gradient(data: Dataset, weights: np.ndarray, theta: Coefficients) -> np.ndarray:
     """Gradient sum_i w_i {y_i - p_i(theta)} z_i of the weighted log-likelihood."""
-    return _evaluated(data, weights, theta)[0].derivatives()[0]
+    return _evaluate(data, weights, theta, 0)
 
 
 def hessian(data: Dataset, weights: np.ndarray, theta: Coefficients) -> np.ndarray:
     """Hessian -sum_i w_i p_i(1 - p_i) z_i z_i' of the weighted log-likelihood."""
-    return -_evaluated(data, weights, theta)[0].derivatives()[1]
+    return -_evaluate(data, weights, theta, 1)
 
 
 def _solve_newton(neg_hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -363,49 +429,48 @@ def fit_mle(
         raise AllOneClassError(
             "need at least one positively weighted case and one control"
         )
-    w = w / w.max()
-    kernel = _Kernel(data, w)
+    with _Kernel.borrowing(data, w, w.max()) as kernel:
+        w = kernel.w
+        if init is None:
+            # start at the intercept-only MLE: the weighted log-odds of a case
+            log_odds = np.log(np.sum(w, where=y == 1)) - np.log(np.sum(w, where=y == 0))
+            init = Coefficients(log_odds, np.zeros(data.d))
+        theta = _check_theta(data, init)
 
-    if init is None:
-        # start at the intercept-only MLE: the weighted log-odds of a case
-        log_odds = np.log(np.sum(w, where=y == 1)) - np.log(np.sum(w, where=y == 0))
-        init = Coefficients(log_odds, np.zeros(data.d))
-    theta = _check_theta(data, init)
-
-    obj = kernel.objective(theta)
-    evaluations = 1
-    iterations = 0
-    converged = False
-    while True:
-        # the kernel's last evaluation is at theta, so nothing is recomputed
-        grad, neg_hess = kernel.derivatives()
-        grad_norm = float(np.max(np.abs(grad)))
-        if grad_norm <= settings.tol:
-            converged = True
-            break
-        if iterations >= settings.max_iter:
-            break
-        step = _solve_newton(neg_hess, grad)
-
-        scale = 1.0
-        slack = ACCEPT_SLACK_ULPS * np.finfo(float).eps * (1.0 + abs(obj))
-        for _ in range(MAX_HALVINGS + 1):
-            cand = theta + scale * step
-            cand_obj = kernel.objective(cand)
-            evaluations += 1
-            if np.isfinite(cand_obj) and cand_obj >= obj - slack:
+        obj = kernel.objective(theta)
+        evaluations = 1
+        iterations = 0
+        converged = False
+        while True:
+            # the kernel's last evaluation is at theta, so nothing is recomputed
+            grad, neg_hess = kernel.derivatives()
+            grad_norm = float(np.max(np.abs(grad)))
+            if grad_norm <= settings.tol:
+                converged = True
                 break
-            scale *= 0.5
-        else:
-            # numerically stationary: no step improves the objective
-            break
-        theta, obj = cand, cand_obj
-        iterations += 1
-        if np.max(np.abs(theta)) > settings.divergence_bound:
-            raise SeparationError(
-                f"iterate max-norm {np.max(np.abs(theta)):.3g} exceeded "
-                f"{settings.divergence_bound:.3g}: data appear separated"
-            )
+            if iterations >= settings.max_iter:
+                break
+            step = _solve_newton(neg_hess, grad)
+
+            scale = 1.0
+            slack = ACCEPT_SLACK_ULPS * np.finfo(float).eps * (1.0 + abs(obj))
+            for _ in range(MAX_HALVINGS + 1):
+                cand = theta + scale * step
+                cand_obj = kernel.objective(cand)
+                evaluations += 1
+                if np.isfinite(cand_obj) and cand_obj >= obj - slack:
+                    break
+                scale *= 0.5
+            else:
+                # numerically stationary: no step improves the objective
+                break
+            theta, obj = cand, cand_obj
+            iterations += 1
+            if np.max(np.abs(theta)) > settings.divergence_bound:
+                raise SeparationError(
+                    f"iterate max-norm {np.max(np.abs(theta)):.3g} exceeded "
+                    f"{settings.divergence_bound:.3g}: data appear separated"
+                )
 
     return FitResult(
         theta=Coefficients.from_vector(theta),

@@ -89,7 +89,9 @@ class GaussianLaw:
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         draws = rng.standard_normal((n, self.dim))
-        return draws * np.asarray(self.sds) + np.asarray(self.means)
+        draws *= self.sds
+        draws += self.means
+        return draws
 
 
 @dataclass(frozen=True)
@@ -191,7 +193,9 @@ def generate_marginal(
     if n < 1:
         raise ValueError("n must be >= 1")
     x = law.sample(n, rng)
-    p = expit(theta_t.alpha + x @ theta_t.beta)
+    p = x @ theta_t.beta
+    p += theta_t.alpha
+    expit(p, out=p)
     y = (rng.random(n) < p).astype(np.int64)
     return Dataset(x=x, y=y)
 
