@@ -11,10 +11,8 @@ convergent on this concave objective whenever the maximizer exists.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import threading
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,11 +72,11 @@ class Dataset:
     design z' = [1; x'] is built once, on first use, as zt.  y holds 0/1
     labels.  Case and control counts are derived at construction.
 
-    Besides zt, the first fit allocates a workspace of (d + 7) x n doubles
-    for the Newton kernel's buffers; every later fit on this dataset or on
-    a take() subset of it reuses it, one fit at a time.  The workspace is
-    freed with the last of the dataset and its subsets, and it is not part
-    of the pickled or copied state.
+    Besides zt, each thread that fits keeps one Newton kernel buffer of
+    (d + 7) x n doubles here, made on its first fit.  Its later fits on
+    this dataset and on take() subsets of it reuse that buffer, growing it
+    when a fit needs more.  The buffers are freed with the last of the
+    dataset and its subsets, and they are never pickled or copied.
     """
 
     x: np.ndarray
@@ -115,8 +113,9 @@ class Dataset:
         return self.x.shape[1]
 
     @functools.cached_property
-    def _workspace(self) -> "_Workspace":
-        return _Workspace((self.d + 7) * self.n)
+    def _workspace(self) -> threading.local:
+        """Per-thread kernel buffers, as attribute buf (see _Kernel)."""
+        return threading.local()
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
@@ -138,8 +137,9 @@ class Dataset:
 
         rows are indices into this dataset and are not re-checked, and
         neither are the gathered values.  The result's x is a view of its
-        own zt, whose memory order matches what zt would be for those rows,
-        and its fits borrow this dataset's workspace.
+        own zt, whose memory order matches what zt would be for those rows.
+        The result shares this dataset's kernel buffers, one per fitting
+        thread, which grow when a fit needs more (see Dataset).
         """
         zt = self.zt
         if zt.flags.c_contiguous:
@@ -154,32 +154,6 @@ class Dataset:
         sub.__dict__["zt"] = zt
         sub.__dict__["_workspace"] = self._workspace
         return sub
-
-
-class _Workspace:
-    """A flat float64 buffer that the fits on one dataset borrow in turn.
-
-    It is allocated on the first borrow, at the size of the dataset that
-    made it.  A borrow that finds it in use (another thread's fit on the
-    dataset or a subset of it) or too small gets a fresh private buffer.
-    """
-
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self.buf: np.ndarray | None = None
-        self.lock = threading.Lock()
-
-    @contextlib.contextmanager
-    def borrow(self, size: int) -> Iterator[np.ndarray]:
-        if size > self.size or not self.lock.acquire(blocking=False):
-            yield np.empty(size)
-            return
-        try:
-            if self.buf is None:
-                self.buf = np.empty(self.size)
-            yield self.buf
-        finally:
-            self.lock.release()
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,17 +268,24 @@ class _Kernel:
     """The weighted log-likelihood of one problem, evaluated in place.
 
     The design is the dataset's z' = [1; x'] (see Dataset.zt for its
-    memory order).  Every row buffer is a view of buf, which holds at
-    least (d + 7) x n doubles: the weighted design zv in zt's memory
-    order, eta, e, p, phi, w / scale and w * y.  So neither building the
+    memory order).  Every row buffer is a view of the calling thread's one
+    buffer in data._workspace, which holds at least (d + 7) x n doubles:
+    the weighted design zv in zt's memory order, eta, e, p, phi, w / scale
+    and w * y.  The buffer is shared with the dataset's take() subsets,
+    grows when a fit needs more, is freed with the dataset and is
+    never pickled.  So after a thread's first fit, neither building the
     kernel nor an evaluation allocates anything of length n.  Each theta
     costs one exp per row: with eta = z'theta and e = exp(-|eta|),
     log(1 + e^eta) = max(eta, 0) + log1p(e), p = e/(1 + e) or
     1 - e/(1 + e) by the sign of eta, and p(1 - p) = e/(1 + e)^2.
     """
 
-    def __init__(self, data: Dataset, w: np.ndarray, scale: float, buf: np.ndarray) -> None:
+    def __init__(self, data: Dataset, w: np.ndarray, scale: float) -> None:
         k, n = data.d + 1, data.n
+        local = data._workspace
+        buf = getattr(local, "buf", None)
+        if buf is None or buf.size < (k + 6) * n:
+            buf = local.buf = np.empty((k + 6) * n)
         self.zt = data.zt
         zv = buf[: k * n]
         self.zv = zv.reshape(k, n) if self.zt.flags.c_contiguous else zv.reshape(n, k).T
@@ -312,13 +293,6 @@ class _Kernel:
         self.eta, self.e, self.p, self.phi, self.w, self.wy = rows
         np.divide(w, scale, out=self.w)
         np.multiply(self.w, data.y, out=self.wy)
-
-    @classmethod
-    @contextlib.contextmanager
-    def borrowing(cls, data: Dataset, w: np.ndarray, scale: float) -> Iterator["_Kernel"]:
-        """The kernel of weights w / scale, in a buffer borrowed from data."""
-        with data._workspace.borrow((data.d + 7) * data.n) as buf:
-            yield cls(data, w, scale, buf)
 
     def objective(self, theta_vec: np.ndarray) -> float:
         """Objective at theta; keeps its eta and e for derivatives()."""
@@ -350,9 +324,9 @@ def _evaluate(data: Dataset, weights: np.ndarray, theta: Coefficients, derivativ
     """The objective at theta, or entry derivative of the kernel's derivatives()."""
     w = _check_weights(data, weights)
     theta_vec = _check_theta(data, theta)
-    with _Kernel.borrowing(data, w, 1.0) as kernel:  # w / 1.0 is w exactly
-        obj = kernel.objective(theta_vec)
-        return obj if derivative is None else kernel.derivatives()[derivative]
+    kernel = _Kernel(data, w, 1.0)  # w / 1.0 is w exactly
+    obj = kernel.objective(theta_vec)
+    return obj if derivative is None else kernel.derivatives()[derivative]
 
 
 def log_likelihood(data: Dataset, weights: np.ndarray, theta: Coefficients) -> float:
@@ -429,48 +403,48 @@ def fit_mle(
         raise AllOneClassError(
             "need at least one positively weighted case and one control"
         )
-    with _Kernel.borrowing(data, w, w.max()) as kernel:
-        w = kernel.w
-        if init is None:
-            # start at the intercept-only MLE: the weighted log-odds of a case
-            log_odds = np.log(np.sum(w, where=y == 1)) - np.log(np.sum(w, where=y == 0))
-            init = Coefficients(log_odds, np.zeros(data.d))
-        theta = _check_theta(data, init)
+    kernel = _Kernel(data, w, w.max())
+    w = kernel.w
+    if init is None:
+        # start at the intercept-only MLE: the weighted log-odds of a case
+        log_odds = np.log(np.sum(w, where=y == 1)) - np.log(np.sum(w, where=y == 0))
+        init = Coefficients(log_odds, np.zeros(data.d))
+    theta = _check_theta(data, init)
 
-        obj = kernel.objective(theta)
-        evaluations = 1
-        iterations = 0
-        converged = False
-        while True:
-            # the kernel's last evaluation is at theta, so nothing is recomputed
-            grad, neg_hess = kernel.derivatives()
-            grad_norm = float(np.max(np.abs(grad)))
-            if grad_norm <= settings.tol:
-                converged = True
-                break
-            if iterations >= settings.max_iter:
-                break
-            step = _solve_newton(neg_hess, grad)
+    obj = kernel.objective(theta)
+    evaluations = 1
+    iterations = 0
+    converged = False
+    while True:
+        # the kernel's last evaluation is at theta, so nothing is recomputed
+        grad, neg_hess = kernel.derivatives()
+        grad_norm = float(np.max(np.abs(grad)))
+        if grad_norm <= settings.tol:
+            converged = True
+            break
+        if iterations >= settings.max_iter:
+            break
+        step = _solve_newton(neg_hess, grad)
 
-            scale = 1.0
-            slack = ACCEPT_SLACK_ULPS * np.finfo(float).eps * (1.0 + abs(obj))
-            for _ in range(MAX_HALVINGS + 1):
-                cand = theta + scale * step
-                cand_obj = kernel.objective(cand)
-                evaluations += 1
-                if np.isfinite(cand_obj) and cand_obj >= obj - slack:
-                    break
-                scale *= 0.5
-            else:
-                # numerically stationary: no step improves the objective
+        scale = 1.0
+        slack = ACCEPT_SLACK_ULPS * np.finfo(float).eps * (1.0 + abs(obj))
+        for _ in range(MAX_HALVINGS + 1):
+            cand = theta + scale * step
+            cand_obj = kernel.objective(cand)
+            evaluations += 1
+            if np.isfinite(cand_obj) and cand_obj >= obj - slack:
                 break
-            theta, obj = cand, cand_obj
-            iterations += 1
-            if np.max(np.abs(theta)) > settings.divergence_bound:
-                raise SeparationError(
-                    f"iterate max-norm {np.max(np.abs(theta)):.3g} exceeded "
-                    f"{settings.divergence_bound:.3g}: data appear separated"
-                )
+            scale *= 0.5
+        else:
+            # numerically stationary: no step improves the objective
+            break
+        theta, obj = cand, cand_obj
+        iterations += 1
+        if np.max(np.abs(theta)) > settings.divergence_bound:
+            raise SeparationError(
+                f"iterate max-norm {np.max(np.abs(theta)):.3g} exceeded "
+                f"{settings.divergence_bound:.3g}: data appear separated"
+            )
 
     return FitResult(
         theta=Coefficients.from_vector(theta),

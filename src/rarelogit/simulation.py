@@ -225,7 +225,6 @@ def calibrate_intercept(
     law: GaussianLaw,
     target_rate: float,
     precision: float = 1e-8,
-    method: str = "auto",
 ) -> float:
     """Solve E_x[p(alpha, beta)] = target_rate for alpha by monotone bisection.
 
@@ -233,9 +232,9 @@ def calibrate_intercept(
     [-50, 50] converges; it stops at the first alpha whose rate is within
     precision * target_rate of the target.  For the independent Gaussian
     law, beta'x is exactly N(beta'mu, sum_j beta_j^2 sd_j^2), so the rate
-    is computed by adaptive quadrature over that normal; "auto" and
-    "quadrature" are the two names of that one method.  With an all-zero
-    slope the closed form log(rho/(1-rho)) is returned directly.
+    is computed by adaptive quadrature over that normal, for any
+    dimension.  With an all-zero slope the closed form log(rho/(1-rho)) is
+    returned directly.
     """
     beta = np.atleast_1d(np.asarray(beta, dtype=np.float64))
     if beta.shape != (law.dim,):
@@ -244,8 +243,6 @@ def calibrate_intercept(
         raise ValueError("target_rate must be in (0, 1)")
     if not precision > 0:
         raise ValueError("precision must be positive")
-    if method not in ("auto", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
     if np.all(beta == 0.0):
         return math.log(target_rate / (1.0 - target_rate))
 

@@ -8,6 +8,7 @@ from rarelogit import (
     EstimatorFamily,
     SCALING_LABEL,
     SingularMomentMatrixError,
+    covariance,
     limit_constants,
     loewner_ge,
     moment_matrix,
@@ -154,6 +155,37 @@ class TestMomentMatrix:
         xs = np.zeros((3, 1))
         with pytest.raises(ValueError):
             moment_matrix(xs, BETA, "times", -1.0)
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: moment_matrix(np.zeros((3, 1, 1)), BETA), ValueError, "covariate sample must be an [(]m, d[)] matrix"),
+            (lambda: moment_matrix(np.zeros((3, 2)), BETA), ValueError, "beta has shape [(]1,[)], sample has d=2"),
+            (lambda: moment_matrix(np.zeros((3, 1)), BETA, "cubed"), ValueError, "unknown transform 'cubed'"),
+            # each exp(700) is finite, their sum is not
+            (
+                lambda: moment_matrix(np.full((20_000, 1), 700.0), BETA),
+                OverflowError,
+                "nonfinite integrand in the plug-in average",
+            ),
+            (
+                lambda: covariance(EstimatorFamily.OVER_BIAS_CORRECTED, np.zeros((3, 1)), BETA, lam=1.0),
+                ValueError,
+                "over-bc variance needs c_o",
+            ),
+            (
+                lambda: weighted_moment_inequality_check(np.ones(4), np.ones(3)),
+                ValueError,
+                "hs must be one scalar per row of vs",
+            ),
+        ],
+        ids=["3-d-sample", "beta-length", "transform", "overflowing-mean", "missing-constant", "hs-length"],
+    )
+    def test_malformed_arguments_rejected(self, call, error, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=message):
+                call()
 
 
 class TestVarianceMatrices:

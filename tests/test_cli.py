@@ -1,6 +1,8 @@
 import csv
 import math
 import re
+import runpy
+import sys
 import warnings
 
 import numpy as np
@@ -225,6 +227,19 @@ class TestFitCommand:
         got = fields(out)
         assert float(got["c"]) == pytest.approx(math.exp(-1.0) / 0.5, rel=1e-14)
         assert "v_1_1" in got and "v_2_2" in got
+
+    def test_run_as_a_module_exits_0(self, balanced_csv, tmp_path, monkeypatch, capsys):
+        # as "python -m rarelogit.cli fit ..." runs it; runpy warns that the module is imported already
+        out = tmp_path / "fit.csv"
+        argv = ["fit", "--data", balanced_csv, "--estimator", "full", "--out", out]
+        monkeypatch.setattr(sys, "argv", ["rarelogit.cli", *map(str, argv)])
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "'rarelogit.cli' found in sys.modules", RuntimeWarning)
+            with pytest.raises(SystemExit) as stop:
+                runpy.run_module("rarelogit.cli", run_name="__main__")
+        assert stop.value.code == 0
+        assert capsys.readouterr().out.strip() == str(out)
+        assert fields(out)["converged"] == "1"
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = run_cli(["fit", "--data", tmp_path / "nope.csv", "--estimator", "full", "--out", tmp_path / "o.csv"])
@@ -472,8 +487,9 @@ class TestSweepCommand:
             (["--theta-t=-2,1", "--law-sd", "1e308"], "sd 1e+308 with mean 0 lets a covariate draw overflow"),
             # used to exit 0 with inf eMSEs and no failed replication
             (["--theta-t=-2,1e300", "--law-sd", "1e10"], "theta and the covariate law let alpha + beta'x overflow"),
+            (["--theta-t=-2"], "--theta-t needs an intercept and at least one slope"),
         ],
-        ids=["huge-sd", "huge-slope"],
+        ids=["huge-sd", "huge-slope", "intercept-only"],
     )
     def test_overflowing_design_is_an_input_error(self, tmp_path, capsys, monkeypatch, extra, message):
         def no_replications(*args, **kwargs):

@@ -188,6 +188,16 @@ class TestEstimatorKind:
         assert over.kind is DesignKind.OVERSAMPLE
 
     @pytest.mark.parametrize("family", [f for f in EstimatorFamily if f.design_kind is not None])
+    def test_design_must_be_given_and_fit_the_data(self, family):
+        data = simulated_data(12)
+        kind = EstimatorKind(family, 0.5)
+        with pytest.raises(ValueError, match=f"{family.value} requires a realized design"):
+            fit_estimator(kind, data)
+        design = realize_design(kind, data.take(np.arange(300)), substream(3))
+        with pytest.raises(ValueError, match="design and dataset lengths differ"):
+            fit_estimator(kind, data, design)
+
+    @pytest.mark.parametrize("family", [f for f in EstimatorFamily if f.design_kind is not None])
     def test_design_rate_must_be_the_kinds(self, family):
         # a design drawn at another rate used to be fitted at the design's rate
         data = simulated_data(12)

@@ -48,3 +48,18 @@ def test_a_start_at_the_optimum_costs_one_evaluation(counted):
     warm = fit_mle(data, np.ones(200), init=cold.theta)
     assert (warm.iterations, warm.evaluations) == (0, 1)
     assert warm.theta.as_vector().tobytes() == cold.theta.as_vector().tobytes()
+
+
+def test_no_improving_step_stops_the_fit_unconverged(monkeypatch, counted):
+    # a descent direction: every halving lowers the concave objective
+    solve = model._solve_newton
+    monkeypatch.setattr(model, "_solve_newton", lambda neg_hess, grad: -solve(neg_hess, grad))
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((2000, 2))
+    y = (rng.random(2000) < 1.0 / (1.0 + np.exp(2.0 - x @ [1.0, -0.5]))).astype(int)
+    fit = fit_mle(Dataset(x=x, y=y), np.ones(2000))
+    assert not fit.converged and fit.grad_max_norm > 1e-8
+    # the start, then the full step and its 30 halvings, all rejected
+    assert (fit.iterations, fit.evaluations, len(counted)) == (0, 32, 32)
+    log_odds = np.log(np.sum(np.ones(2000), where=y == 1)) - np.log(np.sum(np.ones(2000), where=y == 0))
+    assert fit.theta.as_vector().tobytes() == np.array([log_odds, 0.0, 0.0]).tobytes()

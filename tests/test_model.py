@@ -325,6 +325,28 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             Coefficients(np.inf, [0.0])
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: Dataset(x=np.zeros(3), y=[0, 1, 0]), "x must be 2-D [(]n, d[)], got ndim=1"),
+            (lambda: Dataset(x=np.zeros((3, 1)), y=[0, 1]), "y must have shape [(]3,[)], got [(]2,[)]"),
+            (lambda: Coefficients(0.0, np.zeros((2, 2))), "beta must be a vector"),
+            (
+                lambda: log_likelihood(Dataset(x=np.zeros((2, 1)), y=[1, 0]), [1.0, np.nan], Coefficients(0.0, [0.0])),
+                "weights must be finite",
+            ),
+            (
+                lambda: gradient(Dataset(x=np.zeros((2, 1)), y=[1, 0]), [1.0, 1.0], Coefficients(0.0, [0.0, 0.0])),
+                "beta has length 2, dataset has d=1",
+            ),
+            (lambda: predict_prob(Coefficients(0.0, [1.0]), [np.inf]), "x_row must be finite"),
+        ],
+        ids=["x-1d", "y-length", "beta-matrix", "nan-weight", "theta-length", "inf-row"],
+    )
+    def test_malformed_arguments_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_objective_direct_formula_agrees(self):
         rng = np.random.default_rng(3)
         data, w, theta = random_instance(rng)

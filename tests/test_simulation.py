@@ -112,8 +112,9 @@ class TestGenerateConditional:
             ({"mu1": 1e308, "mu0": -1e308}, "induce logistic coefficients that are not finite"),
             ({"sigma": math.inf}, "sigma must be positive and finite"),
             ({"sigma": math.nan}, "sigma must be positive and finite"),
+            ({"mu1": math.nan}, "means must be finite"),
         ],
-        ids=["tiny-sigma", "huge-sigma", "huge-mu1", "huge-mean-gap", "inf-sigma", "nan-sigma"],
+        ids=["tiny-sigma", "huge-sigma", "huge-mu1", "huge-mean-gap", "inf-sigma", "nan-sigma", "nan-mu1"],
     )
     def test_nonfinite_induced_coefficients_rejected(self, params, message):
         kwargs = {"mu1": 1.0, "mu0": 0.0, "sigma": 1.0, "target_rate": 0.05} | params
@@ -208,22 +209,16 @@ class TestCalibrateIntercept:
         with pytest.raises(CalibrationError):
             calibrate_intercept([1.0], GaussianLaw.standard(1), 1e-30)
 
-    def test_only_quadrature_methods(self):
-        # quadrature is exact for the Gaussian law at every d; there is no Monte Carlo method
-        with pytest.raises(ValueError, match="unknown method 'mc'"):
-            calibrate_intercept([1.0], GaussianLaw.standard(1), 0.05, method="mc")
-
     @pytest.mark.parametrize("rate", [1e-6, 1e-8, 1e-12])
     def test_precision_is_relative_to_the_rate(self, rate):
         # the achieved rate is within precision * rate of the target, however rare
         alpha = calibrate_intercept([1.0], GaussianLaw.standard(1), rate)
         assert abs(rare_event_rate(alpha, 0.0, 1.0) - rate) <= 2e-8 * rate
 
-    @pytest.mark.parametrize("method", ["auto", "quadrature"])
-    def test_quadrature_for_any_dimension(self, method):
+    def test_quadrature_for_any_dimension(self):
         # beta'x ~ N(1*0 - 0.5*0.5, 1^2 + 0.5^2 * 2^2) exactly, so no rng is needed
         law = GaussianLaw(means=(0.0, 0.5), sds=(1.0, 2.0))
-        alpha = calibrate_intercept([1.0, -0.5], law, 1e-6, method=method)
+        alpha = calibrate_intercept([1.0, -0.5], law, 1e-6)
         assert abs(rare_event_rate(alpha, -0.25, 2.0) - 1e-6) <= 2e-8 * 1e-6
 
 
@@ -405,6 +400,11 @@ class TestRunExperiment:
         assert len(report.entries) == 2
         assert all(e.failed == 0 for e in report.entries)
 
+    def test_entry_of_a_kind_not_run_is_a_key_error(self):
+        report = run_experiment(self.small_config(reps=1))
+        with pytest.raises(KeyError, match="no entry for"):
+            report.entry(EstimatorKind(EstimatorFamily.UNDER_WEIGHTED, 0.5))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             self.small_config(reps=0)
@@ -424,3 +424,43 @@ class TestRunExperiment:
                 estimators=(),
                 base_seed=0,
             )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: GaussianLaw(means=(0.0,), sds=(1.0, 1.0)), "means and sds must be equal-length, nonempty"),
+        (lambda: GaussianLaw(means=(), sds=()), "means and sds must be equal-length, nonempty"),
+        (lambda: generate_conditional(0, 0.1, 1.0, 0.0, 1.0, substream(0)), "n must be >= 1"),
+        (
+            lambda: generate_marginal(0, Coefficients(-2.0, [1.0]), GaussianLaw.standard(1), substream(0)),
+            "n must be >= 1",
+        ),
+        (
+            lambda: calibrate_intercept([1.0, 2.0], GaussianLaw.standard(1), 0.05),
+            "beta and covariate law dimensions differ",
+        ),
+        (lambda: calibrate_intercept([1.0], GaussianLaw.standard(1), 1.0), "target_rate must be in [(]0, 1[)]"),
+        (
+            lambda: calibrate_intercept([1.0], GaussianLaw.standard(1), 0.05, precision=0.0),
+            "precision must be positive",
+        ),
+        (
+            lambda: emse([Coefficients(0.0, [1.0, 2.0])], Coefficients(0.0, [1.0])),
+            "estimate and target dimensions differ",
+        ),
+        (
+            lambda: ExperimentConfig(
+                design=ConditionalGaussianDesign(1.0, 0.0, 1.0, 0.1), n=1, reps=1, estimators=(FULL,), base_seed=0
+            ),
+            "n must be >= 2",
+        ),
+    ],
+    ids=[
+        "law-lengths", "empty-law", "conditional-n", "marginal-n", "calibration-beta",
+        "calibration-rate", "calibration-precision", "emse-dims", "config-n",
+    ],
+)
+def test_malformed_arguments_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
