@@ -41,6 +41,10 @@ RIDGE_SCALE = 1e-10
 # below the float resolution of the objective, so "does not decrease" must
 # be read up to rounding noise or backtracking stalls before grad <= tol.
 ACCEPT_SLACK_ULPS = 16.0
+# Rows per kernel block.  A block's d + 5 rows of scratch stay in cache
+# while its whole chain runs, where whole-array passes over n = 1e5 rows
+# stream from memory; see _Kernel.
+BLOCK_ROWS = 16384
 
 
 class RareLogitError(Exception):
@@ -72,11 +76,13 @@ class Dataset:
     design z' = [1; x'] is built once, on first use, as zt.  y holds 0/1
     labels.  Case and control counts are derived at construction.
 
-    Besides zt, each thread that fits keeps one Newton kernel buffer of
-    (d + 7) x n doubles here, made on its first fit.  Its later fits on
-    this dataset and on take() subsets of it reuse that buffer, growing it
-    when a fit needs more.  The buffers are freed with the last of the
-    dataset and its subsets, and they are never pickled or copied.
+    Besides zt, each thread that fits keeps one Newton kernel buffer here,
+    made on its first fit: the rescaled weights w and w * y over the n
+    rows, plus d + 5 rows of one kernel block's scratch, at most BLOCK_ROWS
+    long (2.4 MB at n = 1e5, d = 1).  Its later fits on this dataset and
+    on take() subsets of it reuse that buffer, growing it when a fit needs
+    more.  The buffers are freed with the last of the dataset and its
+    subsets, and they are never pickled or copied.
     """
 
     x: np.ndarray
@@ -139,7 +145,9 @@ class Dataset:
         neither are the gathered values.  The result's x is a view of its
         own zt, whose memory order matches what zt would be for those rows.
         The result shares this dataset's kernel buffers, one per fitting
-        thread, which grow when a fit needs more (see Dataset).
+        thread; a fit of the subset needs 2 doubles per selected row plus
+        one block's scratch, and grows the buffer when that is more than
+        it holds (see Dataset).
         """
         zt = self.zt
         if zt.flags.c_contiguous:
@@ -213,17 +221,23 @@ class FitResult:
     (the maximizer is invariant under positive rescaling of the weights);
     grad_max_norm and neg_hessian refer to that rescaled objective.
     neg_hessian is the negative Hessian at theta, a symmetric positive
-    semidefinite matrix.  evaluations counts objective evaluations: the
+    semidefinite matrix.  evaluations counts kernel evaluations: the
     start point plus every line-search candidate, so it is iterations + 1
-    when no step was halved.
+    when no step was halved.  stop_reason says why the solver stopped:
+    "converged" (max|grad| <= tol), "max_iter" (max_iter steps taken) or
+    "stalled" (no halving of the Newton step improved the objective).
     """
 
     theta: Coefficients
-    converged: bool
     iterations: int
     grad_max_norm: float
     neg_hessian: np.ndarray
     evaluations: int
+    stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
 
 def _check_weights(data: Dataset, weights: np.ndarray) -> np.ndarray:
@@ -265,83 +279,99 @@ def predict_prob(theta: Coefficients, x_row: np.ndarray) -> float:
 
 
 class _Kernel:
-    """The weighted log-likelihood of one problem, evaluated in place.
+    """The weighted log-likelihood of one problem and its derivatives.
 
     The design is the dataset's z' = [1; x'] (see Dataset.zt for its
-    memory order).  Every row buffer is a view of the calling thread's one
-    buffer in data._workspace, which holds at least (d + 7) x n doubles:
-    the weighted design zv in zt's memory order, eta, e, p, phi, w / scale
-    and w * y.  The buffer is shared with the dataset's take() subsets,
-    grows when a fit needs more, is freed with the dataset and is
-    never pickled.  So after a thread's first fit, neither building the
-    kernel nor an evaluation allocates anything of length n.  Each theta
-    costs one exp per row: with eta = z'theta and e = exp(-|eta|),
-    log(1 + e^eta) = max(eta, 0) + log1p(e), p = e/(1 + e) or
-    1 - e/(1 + e) by the sign of eta, and p(1 - p) = e/(1 + e)^2.
+    memory order).  evaluate() walks it in blocks of BLOCK_ROWS columns
+    and runs each block's whole chain while the block is in cache, adding
+    the block's objective, gradient and negative Hessian to the totals.
+
+    Every buffer is a view of the calling thread's one buffer in
+    data._workspace: w / scale and w * y over all n rows, then d + 5 rows
+    of one block's scratch (the weighted design zv, in zt's memory order,
+    then eta, e, p and phi).  The buffer is shared with the dataset's
+    take() subsets, grows when a fit needs more, is freed with the dataset
+    and is never pickled.  So after a thread's first fit, neither building
+    the kernel nor an evaluation allocates anything of length n.  A
+    problem of at most one block makes one call of each kind over all its
+    rows, so its results do not depend on BLOCK_ROWS.
+
+    Each theta costs one exp per row: with eta = z'theta and
+    e = exp(-|eta|), log(1 + e^eta) = max(eta, 0) + log1p(e),
+    p = e/(1 + e) or 1 - e/(1 + e) by the sign of eta, and
+    p(1 - p) = e/(1 + e)^2.
     """
 
     def __init__(self, data: Dataset, w: np.ndarray, scale: float) -> None:
         k, n = data.d + 1, data.n
+        rows = min(n, BLOCK_ROWS)
         local = data._workspace
         buf = getattr(local, "buf", None)
-        if buf is None or buf.size < (k + 6) * n:
-            buf = local.buf = np.empty((k + 6) * n)
-        self.zt = data.zt
-        zv = buf[: k * n]
-        self.zv = zv.reshape(k, n) if self.zt.flags.c_contiguous else zv.reshape(n, k).T
-        rows = buf[k * n : (k + 6) * n].reshape(6, n)
-        self.eta, self.e, self.p, self.phi, self.w, self.wy = rows
+        if buf is None or buf.size < 2 * n + (k + 4) * rows:
+            buf = local.buf = np.empty(2 * n + (k + 4) * rows)
+        self.w, self.wy = buf[: 2 * n].reshape(2, n)
         np.divide(w, scale, out=self.w)
         np.multiply(self.w, data.y, out=self.wy)
+        zt, scratch = data.zt, buf[2 * n :]
+        self.blocks = []
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            m = hi - lo
+            zv = scratch[: k * m]
+            zv = zv.reshape(k, m) if zt.flags.c_contiguous else zv.reshape(m, k).T
+            eta, e, p, phi = scratch[k * m : (k + 4) * m].reshape(4, m)
+            self.blocks.append((zt[:, lo:hi], self.w[lo:hi], self.wy[lo:hi], zv, eta, e, p, phi))
 
-    def objective(self, theta_vec: np.ndarray) -> float:
-        """Objective at theta; keeps its eta and e for derivatives()."""
-        eta, e, tmp = self.eta, self.e, self.p  # p is free until derivatives()
-        np.matmul(theta_vec, self.zt, out=eta)
-        np.exp(np.negative(np.abs(eta, out=e), out=e), out=e)
-        np.add(np.maximum(eta, 0.0, out=tmp), np.log1p(e, out=self.phi), out=tmp)
-        return float(self.wy @ eta - self.w @ tmp)
+    def evaluate(self, theta_vec: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """Objective, gradient and negative Hessian at theta.
 
-    def derivatives(self) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient and negative Hessian at the last theta given to objective.
-
-        Huge covariates can overflow them; _solve_newton rejects the
-        nonfinite result, so numpy's overflow warnings are not raised.
+        Huge covariates can overflow the derivatives; _solve_newton rejects
+        the nonfinite result, so numpy's overflow warnings are not raised.
         """
-        e, p, phi = self.e, self.p, self.phi
+        obj = 0.0
+        for i, (zt, w, wy, zv, eta, e, p, phi) in enumerate(self.blocks):
+            np.matmul(theta_vec, zt, out=eta)
+            np.exp(np.negative(np.abs(eta, out=e), out=e), out=e)
+            np.add(np.maximum(eta, 0.0, out=p), np.log1p(e, out=phi), out=p)
+            obj += float(wy @ eta - w @ p)
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.add(1.0, e, out=phi)
+                np.divide(e, phi, out=p)  # e/(1 + e)
+                np.divide(p, phi, out=phi)  # e/(1 + e)^2 = p(1 - p)
+                np.subtract(1.0, p, out=p, where=eta >= 0.0)  # p = 1 - e/(1 + e)
+                np.subtract(wy, np.multiply(w, p, out=p), out=p)  # w(y - p)
+                np.multiply(zt, np.multiply(w, phi, out=phi), out=zv)
+                # the first block's sums are taken as they are, not added to
+                # zeros, so a one-block problem keeps every byte (even -0.0)
+                if i == 0:
+                    grad, h = zt @ p, zv @ zt.T
+                else:
+                    grad += zt @ p
+                    h += zv @ zt.T
         with np.errstate(over="ignore", invalid="ignore"):
-            np.add(1.0, e, out=phi)
-            np.divide(e, phi, out=p)  # e/(1 + e)
-            np.divide(p, phi, out=phi)  # e/(1 + e)^2 = p(1 - p)
-            np.subtract(1.0, p, out=p, where=self.eta >= 0.0)  # p = 1 - e/(1 + e)
-            np.subtract(self.wy, np.multiply(self.w, p, out=p), out=p)  # w(y - p)
-            np.multiply(self.zt, np.multiply(self.w, phi, out=phi), out=self.zv)
-            h = self.zv @ self.zt.T
-            return self.zt @ p, 0.5 * (h + h.T)
+            return obj, grad, 0.5 * (h + h.T)
 
 
-def _evaluate(data: Dataset, weights: np.ndarray, theta: Coefficients, derivative: int | None):
-    """The objective at theta, or entry derivative of the kernel's derivatives()."""
+def _evaluate(data: Dataset, weights: np.ndarray, theta: Coefficients):
+    """The kernel's (objective, gradient, negative Hessian) at theta."""
     w = _check_weights(data, weights)
     theta_vec = _check_theta(data, theta)
-    kernel = _Kernel(data, w, 1.0)  # w / 1.0 is w exactly
-    obj = kernel.objective(theta_vec)
-    return obj if derivative is None else kernel.derivatives()[derivative]
+    return _Kernel(data, w, 1.0).evaluate(theta_vec)  # w / 1.0 is w exactly
 
 
 def log_likelihood(data: Dataset, weights: np.ndarray, theta: Coefficients) -> float:
     """Weighted log-likelihood sum_i w_i {y_i z_i'theta - log(1 + e^{z_i'theta})}."""
-    return _evaluate(data, weights, theta, None)
+    return _evaluate(data, weights, theta)[0]
 
 
 def gradient(data: Dataset, weights: np.ndarray, theta: Coefficients) -> np.ndarray:
     """Gradient sum_i w_i {y_i - p_i(theta)} z_i of the weighted log-likelihood."""
-    return _evaluate(data, weights, theta, 0)
+    return _evaluate(data, weights, theta)[1]
 
 
 def hessian(data: Dataset, weights: np.ndarray, theta: Coefficients) -> np.ndarray:
     """Hessian -sum_i w_i p_i(1 - p_i) z_i z_i' of the weighted log-likelihood."""
-    return -_evaluate(data, weights, theta, 1)
+    return -_evaluate(data, weights, theta)[2]
 
 
 def _solve_newton(neg_hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -411,18 +441,16 @@ def fit_mle(
         init = Coefficients(log_odds, np.zeros(data.d))
     theta = _check_theta(data, init)
 
-    obj = kernel.objective(theta)
+    obj, grad, neg_hess = kernel.evaluate(theta)
     evaluations = 1
     iterations = 0
-    converged = False
     while True:
-        # the kernel's last evaluation is at theta, so nothing is recomputed
-        grad, neg_hess = kernel.derivatives()
         grad_norm = float(np.max(np.abs(grad)))
         if grad_norm <= settings.tol:
-            converged = True
+            stop_reason = "converged"
             break
         if iterations >= settings.max_iter:
+            stop_reason = "max_iter"
             break
         step = _solve_newton(neg_hess, grad)
 
@@ -430,15 +458,16 @@ def fit_mle(
         slack = ACCEPT_SLACK_ULPS * np.finfo(float).eps * (1.0 + abs(obj))
         for _ in range(MAX_HALVINGS + 1):
             cand = theta + scale * step
-            cand_obj = kernel.objective(cand)
+            cand_obj, cand_grad, cand_hess = kernel.evaluate(cand)
             evaluations += 1
             if np.isfinite(cand_obj) and cand_obj >= obj - slack:
                 break
             scale *= 0.5
         else:
             # numerically stationary: no step improves the objective
+            stop_reason = "stalled"
             break
-        theta, obj = cand, cand_obj
+        theta, obj, grad, neg_hess = cand, cand_obj, cand_grad, cand_hess
         iterations += 1
         if np.max(np.abs(theta)) > settings.divergence_bound:
             raise SeparationError(
@@ -448,9 +477,9 @@ def fit_mle(
 
     return FitResult(
         theta=Coefficients.from_vector(theta),
-        converged=converged,
         iterations=iterations,
         grad_max_norm=grad_norm,
         neg_hessian=neg_hess,
         evaluations=evaluations,
+        stop_reason=stop_reason,
     )

@@ -1,4 +1,4 @@
-"""FitResult.evaluations counts every objective evaluation of a fit."""
+"""FitResult.evaluations counts every kernel evaluation of a fit."""
 
 import numpy as np
 import pytest
@@ -8,15 +8,15 @@ from rarelogit import Coefficients, Dataset, fit_mle, model
 
 @pytest.fixture()
 def counted(monkeypatch):
-    """A list that grows by one on every kernel objective evaluation."""
+    """A list that grows by one on every kernel evaluation."""
     calls = []
-    objective = model._Kernel.objective
+    evaluate = model._Kernel.evaluate
 
     def counting(self, theta_vec):
         calls.append(1)
-        return objective(self, theta_vec)
+        return evaluate(self, theta_vec)
 
-    monkeypatch.setattr(model._Kernel, "objective", counting)
+    monkeypatch.setattr(model._Kernel, "evaluate", counting)
     return calls
 
 
@@ -59,6 +59,7 @@ def test_no_improving_step_stops_the_fit_unconverged(monkeypatch, counted):
     y = (rng.random(2000) < 1.0 / (1.0 + np.exp(2.0 - x @ [1.0, -0.5]))).astype(int)
     fit = fit_mle(Dataset(x=x, y=y), np.ones(2000))
     assert not fit.converged and fit.grad_max_norm > 1e-8
+    assert fit.stop_reason == "stalled"
     # the start, then the full step and its 30 halvings, all rejected
     assert (fit.iterations, fit.evaluations, len(counted)) == (0, 32, 32)
     log_odds = np.log(np.sum(np.ones(2000), where=y == 1)) - np.log(np.sum(np.ones(2000), where=y == 0))

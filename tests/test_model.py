@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import rarelogit
 from rarelogit import (
     AllOneClassError,
     Coefficients,
@@ -136,7 +141,7 @@ class TestFitMle:
     def test_intercept_only_closed_form(self):
         data = Dataset(x=np.zeros((10, 1)), y=[1] * 4 + [0] * 6)
         fit = fit_mle(data, np.ones(10))
-        assert fit.converged
+        assert fit.converged and fit.stop_reason == "converged"
         assert fit.theta.alpha == pytest.approx(math.log(4 / 6), abs=1e-9)
         assert fit.theta.beta[0] == 0.0
 
@@ -258,6 +263,30 @@ class TestFitMle:
         fit = fit_mle(data, np.ones(50), settings=SolverSettings(max_iter=1))
         assert not fit.converged
         assert fit.iterations <= 1
+        assert fit.stop_reason == "max_iter"
+
+    def test_fit_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # a 2e5 x 3 fit crosses many kernel blocks; in one whole-array pass
+        # OpenBLAS splits the sums over its threads and moves the last bits
+        script = (
+            "import numpy as np\n"
+            "from rarelogit import Dataset, fit_mle\n"
+            "rng = np.random.default_rng(7)\n"
+            "x = rng.standard_normal((200_000, 3))\n"
+            "p = 1 / (1 + np.exp(3.0 - x @ [1.0, 0.25, -0.5]))\n"
+            "fit = fit_mle(Dataset(x=x, y=(rng.random(200_000) < p).astype(int)), np.ones(200_000))\n"
+            "print(fit.iterations, (fit.theta.as_vector().tobytes() + fit.neg_hessian.tobytes()).hex())\n"
+        )
+        src = str(Path(rarelogit.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_bad_solver_arguments(self):
         data = Dataset(x=np.zeros((2, 1)), y=[1, 0])

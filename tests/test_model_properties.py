@@ -17,6 +17,7 @@ from rarelogit import (
     gradient,
     hessian,
     log_likelihood,
+    model,
     substream,
 )
 
@@ -49,6 +50,23 @@ def logistic_problem(seed, n, d, alpha):
     return Dataset(x=x, y=y), rng.uniform(0.25, 4.0, n)
 
 
+def check_against_direct_formulas(seed, n, d, scale):
+    # scale 300 puts |eta| in the hundreds, where exp(eta) overflows
+    x, y, w = random_problem(seed, n, d)
+    rng = np.random.default_rng(seed + 1)
+    alpha, beta = rng.normal(0.0, scale), rng.normal(0.0, scale, d)
+    data, theta = Dataset(x=x, y=y), Coefficients(alpha, beta)
+    # error bounds: a few ulps of the summed magnitudes of the terms
+    z = np.abs(np.column_stack([np.ones(n), x]))
+    eta_bound = z @ np.abs(theta.as_vector())
+    l_err = log_likelihood(data, w, theta) - loglik_direct(x, y, w, alpha, beta)
+    assert abs(l_err) <= 1e-13 * (w @ (eta_bound + 1.0))
+    g_err = gradient(data, w, theta) - gradient_direct(x, y, w, alpha, beta)
+    assert np.all(np.abs(g_err) <= 1e-13 * (w @ z))
+    h_err = hessian(data, w, theta) - hessian_direct(x, y, w, alpha, beta)
+    assert np.all(np.abs(h_err) <= 1e-13 * (z.T @ (w[:, None] * z)))
+
+
 class TestKernelAgainstDirectFormulas:
     @PROPERTY
     @given(
@@ -58,20 +76,15 @@ class TestKernelAgainstDirectFormulas:
         scale=st.sampled_from([0.1, 1.0, 30.0, 300.0]),
     )
     def test_objective_gradient_hessian(self, seed, n, d, scale):
-        # scale 300 puts |eta| in the hundreds, where exp(eta) overflows
-        x, y, w = random_problem(seed, n, d)
-        rng = np.random.default_rng(seed + 1)
-        alpha, beta = rng.normal(0.0, scale), rng.normal(0.0, scale, d)
-        data, theta = Dataset(x=x, y=y), Coefficients(alpha, beta)
-        # error bounds: a few ulps of the summed magnitudes of the terms
-        z = np.abs(np.column_stack([np.ones(n), x]))
-        eta_bound = z @ np.abs(theta.as_vector())
-        l_err = log_likelihood(data, w, theta) - loglik_direct(x, y, w, alpha, beta)
-        assert abs(l_err) <= 1e-13 * (w @ (eta_bound + 1.0))
-        g_err = gradient(data, w, theta) - gradient_direct(x, y, w, alpha, beta)
-        assert np.all(np.abs(g_err) <= 1e-13 * (w @ z))
-        h_err = hessian(data, w, theta) - hessian_direct(x, y, w, alpha, beta)
-        assert np.all(np.abs(h_err) <= 1e-13 * (z.T @ (w[:, None] * z)))
+        check_against_direct_formulas(seed, n, d, scale)
+
+    @pytest.mark.parametrize("scale", [1.0, 300.0])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, model.BLOCK_ROWS + 17])
+    def test_across_kernel_blocks(self, extra, d, scale):
+        # the kernel sums its blocks of BLOCK_ROWS rows: one row short of a
+        # block, one block, one row past it, and into a third block
+        check_against_direct_formulas(extra + 2, model.BLOCK_ROWS + extra, d, scale)
 
 
 class TestSolverProperties:

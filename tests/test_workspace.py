@@ -25,6 +25,7 @@ from rarelogit import (
     gradient,
     hessian,
     log_likelihood,
+    model,
 )
 
 
@@ -59,8 +60,12 @@ def fit_problems(data):
     return problems
 
 
-def test_concurrent_fits_match_sequential_fits_bit_for_bit():
-    data = rare_data(60_000, 2)
+@pytest.mark.parametrize(
+    "n", [model.BLOCK_ROWS // 2, 3 * model.BLOCK_ROWS + 17], ids=["one-block", "four-blocks"]
+)
+def test_concurrent_fits_match_sequential_fits_bit_for_bit(n):
+    # the 40% subsets of the four-block dataset span two kernel blocks
+    data = rare_data(n, 2)
     problems = fit_problems(data)
     expected = [fingerprint(fit_mle(target, w)) for target, w in problems]
     for _ in range(3):
