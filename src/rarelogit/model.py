@@ -332,6 +332,7 @@ class _Kernel:
         for i, (zt, w, wy, zv, eta, e, p, phi) in enumerate(self.blocks):
             np.matmul(theta_vec, zt, out=eta)
             np.exp(np.negative(np.abs(eta, out=e), out=e), out=e)
+            # p holds log(1 + e^eta) until the derivatives reuse it
             np.add(np.maximum(eta, 0.0, out=p), np.log1p(e, out=phi), out=p)
             obj += float(wy @ eta - w @ p)
             with np.errstate(over="ignore", invalid="ignore"):
