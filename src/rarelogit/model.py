@@ -45,6 +45,12 @@ ACCEPT_SLACK_ULPS = 16.0
 # while its whole chain runs, where whole-array passes over n = 1e5 rows
 # stream from memory; see _Kernel.
 BLOCK_ROWS = 16384
+# A cold fit of at least PILOT_MIN_ROWS active rows whose control weight is
+# at least PILOT_MIN_RATIO times its case weight starts from a pilot fit on
+# every case and every PILOT_STRIDE-th control; see fit_mle.
+PILOT_MIN_ROWS = 50_000
+PILOT_MIN_RATIO = 20
+PILOT_STRIDE = 50
 
 
 class RareLogitError(Exception):
@@ -132,28 +138,26 @@ class Dataset:
     def zt(self) -> np.ndarray:
         """The (1 + d) x n transpose z' = [1; x'] that every fit reads.
 
-        np.vstack lays it out in C order for d = 1 but in Fortran order
-        (row-major z rows) for d >= 2; the BLAS calls of a fit round
-        differently on the other order, so take() keeps this layout.
+        It is laid out in C order, one contiguous row per coefficient, for
+        every d: the kernel's products stream along rows, which is faster
+        than the row-major z rows of np.vstack's Fortran order for d >= 2.
         """
-        return np.vstack((np.ones(self.n), self.x.T))
+        zt = np.empty((self.d + 1, self.n))
+        zt[0] = 1.0
+        zt[1:] = self.x.T
+        return zt
 
     def take(self, rows: np.ndarray) -> "Dataset":
         """The dataset of the given rows, in their order, gathered from zt.
 
         rows are indices into this dataset and are not re-checked, and
         neither are the gathered values.  The result's x is a view of its
-        own zt, whose memory order matches what zt would be for those rows.
-        The result shares this dataset's kernel buffers, one per fitting
-        thread; a fit of the subset needs 2 doubles per selected row plus
-        one block's scratch, and grows the buffer when that is more than
-        it holds (see Dataset).
+        own zt, which is in C order like every zt.  The result shares this
+        dataset's kernel buffers, one per fitting thread; a fit of the
+        subset needs 2 doubles per selected row plus one block's scratch,
+        and grows the buffer when that is more than it holds (see Dataset).
         """
-        zt = self.zt
-        if zt.flags.c_contiguous:
-            zt = np.take(zt, rows, axis=1)
-        else:
-            zt = np.take(zt.T, rows, axis=0).T
+        zt = np.take(self.zt, rows, axis=1)
         y = np.take(self.y, rows)
         n1 = int(y.sum())
         sub = object.__new__(Dataset)
@@ -226,6 +230,10 @@ class FitResult:
     when no step was halved.  stop_reason says why the solver stopped:
     "converged" (max|grad| <= tol), "max_iter" (max_iter steps taken) or
     "stalled" (no halving of the Newton step improved the objective).
+    iterations, evaluations and the rest describe this fit only;
+    pilot_iterations counts the Newton steps of the pilot fit whose
+    estimate started it (see fit_mle), and is 0 when no pilot ran or the
+    fit fell back to the log-odds start.
     """
 
     theta: Coefficients
@@ -234,6 +242,7 @@ class FitResult:
     neg_hessian: np.ndarray
     evaluations: int
     stop_reason: str
+    pilot_iterations: int = 0
 
     @property
     def converged(self) -> bool:
@@ -281,20 +290,20 @@ def predict_prob(theta: Coefficients, x_row: np.ndarray) -> float:
 class _Kernel:
     """The weighted log-likelihood of one problem and its derivatives.
 
-    The design is the dataset's z' = [1; x'] (see Dataset.zt for its
-    memory order).  evaluate() walks it in blocks of BLOCK_ROWS columns
-    and runs each block's whole chain while the block is in cache, adding
-    the block's objective, gradient and negative Hessian to the totals.
+    The design is the dataset's z' = [1; x'], in C order (see Dataset.zt).
+    evaluate() walks it in blocks of BLOCK_ROWS columns and runs each
+    block's whole chain while the block is in cache, adding the block's
+    objective, gradient and negative Hessian to the totals.  A problem of
+    at most one block keeps no block list: it makes one call of each kind
+    over all its rows, so its results do not depend on BLOCK_ROWS.
 
     Every buffer is a view of the calling thread's one buffer in
     data._workspace: w / scale and w * y over all n rows, then d + 5 rows
-    of one block's scratch (the weighted design zv, in zt's memory order,
-    then eta, e, p and phi).  The buffer is shared with the dataset's
-    take() subsets, grows when a fit needs more, is freed with the dataset
-    and is never pickled.  So after a thread's first fit, neither building
-    the kernel nor an evaluation allocates anything of length n.  A
-    problem of at most one block makes one call of each kind over all its
-    rows, so its results do not depend on BLOCK_ROWS.
+    of one block's scratch (the weighted design zv, then eta, e, p and
+    phi).  The buffer is shared with the dataset's take() subsets, grows
+    when a fit needs more, is freed with the dataset and is never pickled.
+    So after a thread's first fit, neither building the kernel nor an
+    evaluation allocates anything of length n.
 
     Each theta costs one exp per row: with eta = z'theta and
     e = exp(-|eta|), log(1 + e^eta) = max(eta, 0) + log1p(e),
@@ -313,14 +322,19 @@ class _Kernel:
         np.divide(w, scale, out=self.w)
         np.multiply(self.w, data.y, out=self.wy)
         zt, scratch = data.zt, buf[2 * n :]
-        self.blocks = []
-        for lo in range(0, n, rows):
-            hi = min(lo + rows, n)
-            m = hi - lo
-            zv = scratch[: k * m]
-            zv = zv.reshape(k, m) if zt.flags.c_contiguous else zv.reshape(m, k).T
-            eta, e, p, phi = scratch[k * m : (k + 4) * m].reshape(4, m)
-            self.blocks.append((zt[:, lo:hi], self.w[lo:hi], self.wy[lo:hi], zv, eta, e, p, phi))
+
+        def work(m: int) -> tuple:
+            # a block of m rows: its weighted design zv, then eta, e, p and phi
+            return (scratch[: k * m].reshape(k, m), *scratch[k * m : (k + 4) * m].reshape(4, m))
+
+        if n <= BLOCK_ROWS:
+            self.block, self.blocks = (zt, self.w, self.wy, *work(n)), None
+        else:
+            self.blocks = [
+                (zt[:, lo : lo + rows], self.w[lo : lo + rows], self.wy[lo : lo + rows],
+                 *work(min(rows, n - lo)))
+                for lo in range(0, n, rows)
+            ]
 
     def evaluate(self, theta_vec: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """Objective, gradient and negative Hessian at theta.
@@ -328,29 +342,33 @@ class _Kernel:
         Huge covariates can overflow the derivatives; _solve_newton rejects
         the nonfinite result, so numpy's overflow warnings are not raised.
         """
-        obj = 0.0
-        for i, (zt, w, wy, zv, eta, e, p, phi) in enumerate(self.blocks):
-            np.matmul(theta_vec, zt, out=eta)
-            np.exp(np.negative(np.abs(eta, out=e), out=e), out=e)
-            # p holds log(1 + e^eta) until the derivatives reuse it
-            np.add(np.maximum(eta, 0.0, out=p), np.log1p(e, out=phi), out=p)
-            obj += float(wy @ eta - w @ p)
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.add(1.0, e, out=phi)
-                np.divide(e, phi, out=p)  # e/(1 + e)
-                np.divide(p, phi, out=phi)  # e/(1 + e)^2 = p(1 - p)
-                np.subtract(1.0, p, out=p, where=eta >= 0.0)  # p = 1 - e/(1 + e)
-                np.subtract(wy, np.multiply(w, p, out=p), out=p)  # w(y - p)
-                np.multiply(zt, np.multiply(w, phi, out=phi), out=zv)
-                # the first block's sums are taken as they are, not added to
-                # zeros, so a one-block problem keeps every byte (even -0.0)
-                if i == 0:
-                    grad, h = zt @ p, zv @ zt.T
-                else:
-                    grad += zt @ p
-                    h += zv @ zt.T
         with np.errstate(over="ignore", invalid="ignore"):
+            if self.blocks is None:
+                obj, grad, h = _block_sums(theta_vec, *self.block)
+            else:
+                obj, grad, h = _block_sums(theta_vec, *self.blocks[0])
+                for block in self.blocks[1:]:
+                    more = _block_sums(theta_vec, *block)
+                    obj += more[0]
+                    grad += more[1]
+                    h += more[2]
             return obj, grad, 0.5 * (h + h.T)
+
+
+def _block_sums(theta_vec, zt, w, wy, zv, eta, e, p, phi) -> tuple[float, np.ndarray, np.ndarray]:
+    """One block's objective, gradient and (unsymmetrized) negative Hessian."""
+    np.matmul(theta_vec, zt, out=eta)
+    np.exp(np.negative(np.abs(eta, out=e), out=e), out=e)
+    # p holds log(1 + e^eta) until the derivatives reuse it
+    np.add(np.maximum(eta, 0.0, out=p), np.log1p(e, out=phi), out=p)
+    obj = float(wy @ eta - w @ p)
+    np.add(1.0, e, out=phi)
+    np.divide(e, phi, out=p)  # e/(1 + e)
+    np.divide(p, phi, out=phi)  # e/(1 + e)^2 = p(1 - p)
+    np.subtract(1.0, p, out=p, where=eta >= 0.0)  # p = 1 - e/(1 + e)
+    np.subtract(wy, np.multiply(w, p, out=p), out=p)  # w(y - p)
+    np.multiply(zt, np.multiply(w, phi, out=phi), out=zv)
+    return obj, zt @ p, zv @ zt.T
 
 
 def _evaluate(data: Dataset, weights: np.ndarray, theta: Coefficients):
@@ -415,7 +433,16 @@ def fit_mle(
     data, weights : the problem; weights must be nonnegative.
     init : starting point.  By default the intercept starts at the weighted
         case log-odds log(sum w y / sum w (1 - y)), the exact MLE of the
-        intercept-only model, and the slopes at zero.
+        intercept-only model, and the slopes at zero.  A rare-events
+        problem (at least PILOT_MIN_ROWS active rows, control weight at
+        least PILOT_MIN_RATIO times the case weight) starts instead from a
+        pilot fit on every case and every PILOT_STRIDE-th control in row
+        order, with their own weights; its intercept is moved by
+        log(W0_pilot / W0), the log of the share of the control weight the
+        pilot kept.  Under-sampling the controls loses little when events
+        are rare, so this starts within about n1^-1/2 of the optimum.  A
+        pilot that raises RareLogitError or does not converge is dropped
+        for the log-odds start.
     settings : tol, max_iter and divergence_bound (see SolverSettings).
 
     Raises
@@ -434,14 +461,55 @@ def fit_mle(
         raise AllOneClassError(
             "need at least one positively weighted case and one control"
         )
+    # the pilot runs first: its take() subset shares the buffer the kernel uses
+    pilot = _pilot(data, w, settings) if init is None else None
     kernel = _Kernel(data, w, w.max())
-    w = kernel.w
+    if pilot is not None:
+        theta, pilot_iterations = pilot
+        return _newton(kernel, theta, settings, pilot_iterations)
     if init is None:
-        # start at the intercept-only MLE: the weighted log-odds of a case
-        log_odds = np.log(np.sum(w, where=y == 1)) - np.log(np.sum(w, where=y == 0))
-        init = Coefficients(log_odds, np.zeros(data.d))
-    theta = _check_theta(data, init)
+        return _newton(kernel, _log_odds_start(kernel.w, y, data.d), settings)
+    return _newton(kernel, _check_theta(data, init), settings)
 
+
+def _log_odds_start(w: np.ndarray, y: np.ndarray, d: int) -> np.ndarray:
+    """The intercept-only MLE: the weighted log-odds of a case, zero slopes."""
+    theta = np.zeros(d + 1)
+    theta[0] = np.log(np.sum(w, where=y == 1)) - np.log(np.sum(w, where=y == 0))
+    return theta
+
+
+def _pilot(data: Dataset, w: np.ndarray, settings: SolverSettings) -> tuple[np.ndarray, int] | None:
+    """The pilot start of a cold rare-events fit and its steps, or None (see fit_mle)."""
+    if data.n < PILOT_MIN_ROWS:
+        return None
+    cases = np.flatnonzero(data.y == 1)  # 5x faster than on the int64 labels
+    w1 = w[cases].sum()
+    w0 = w.sum() - w1
+    if w0 < PILOT_MIN_RATIO * w1:
+        return None
+    # the control of rank r (from 0, in row order) has every case k with
+    # cases[k] - k <= r before it
+    ranks = np.arange(0, data.n0, PILOT_STRIDE)
+    controls = ranks + np.searchsorted(cases - np.arange(cases.size), ranks, side="right")
+    rows = np.sort(np.concatenate((cases, controls)))
+    pilot, pilot_w = data.take(rows), w[rows]
+    try:
+        kernel = _Kernel(pilot, pilot_w, pilot_w.max())
+        fit = _newton(kernel, _log_odds_start(kernel.w, pilot.y, pilot.d), settings)
+    except RareLogitError:
+        return None
+    if not fit.converged:
+        return None
+    theta = fit.theta.as_vector()
+    theta[0] += np.log(w[controls].sum() / w0)
+    return theta, fit.iterations
+
+
+def _newton(
+    kernel: _Kernel, theta: np.ndarray, settings: SolverSettings, pilot_iterations: int = 0
+) -> FitResult:
+    """Damped Newton ascent from theta on the kernel's problem (see fit_mle)."""
     obj, grad, neg_hess = kernel.evaluate(theta)
     evaluations = 1
     iterations = 0
@@ -483,4 +551,5 @@ def fit_mle(
         neg_hessian=neg_hess,
         evaluations=evaluations,
         stop_reason=stop_reason,
+        pilot_iterations=pilot_iterations,
     )

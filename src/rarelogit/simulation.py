@@ -334,9 +334,11 @@ class ExperimentConfig:
     (base_seed, s, i) for the sampling design first needed by estimator i;
     a sampling design is shared by the weighted/bias-corrected variants of
     the same scheme and rate.  The estimators are fitted in the given
-    order with the solver settings; the first converged estimate of a
-    replication is the start of every later fit in it.  Every estimate is
-    scored against design.true_coefficients().
+    order with the solver settings.  A fit on a design this replication
+    has already fitted starts at that design's latest converged estimate;
+    every other fit after the replication's first converged estimate
+    starts there (see run_experiment).  Every estimate is scored against
+    design.true_coefficients().
     """
 
     design: ConditionalGaussianDesign | MarginalLogisticDesign
@@ -366,11 +368,13 @@ def _run_replication(
 ) -> tuple[int, list[np.ndarray | None]]:
     data = config.design.draw(config.n, substream(config.base_seed, s))
     designs: dict[tuple, SampleDesign] = {}
+    # each design's latest converged estimate, which starts its next fit
+    latest: dict[tuple, Coefficients] = {}
     fits: list[np.ndarray | None] = []
-    # the first converged estimate; every later fit starts there
+    # the first converged estimate; every other later fit starts there
     anchor: Coefficients | None = None
     for i, kind in enumerate(config.estimators):
-        design = None
+        design = key = None
         if kind.design_kind is not None:
             key = (kind.design_kind, kind.rate)
             if key not in designs:
@@ -378,15 +382,20 @@ def _run_replication(
                     kind, data, substream(config.base_seed, s, i)
                 )
             design = designs[key]
+        start = latest.get(key, anchor)
         try:
-            fit = fit_estimator(kind, data, design, config.solver, start=anchor)
+            fit = fit_estimator(kind, data, design, config.solver, start=start)
         except RareLogitError:
             fit = None
         # a fit that stopped short of the tolerance is a failure, not an estimate
-        ok = fit is not None and fit.converged
-        fits.append(fit.theta.as_vector() if ok else None)
-        if ok and anchor is None:
+        if fit is None or not fit.converged:
+            fits.append(None)
+            continue
+        fits.append(fit.theta.as_vector())
+        if anchor is None:
             anchor = fit.theta
+        if key is not None:
+            latest[key] = fit.theta
     return data.n1, fits
 
 
@@ -400,18 +409,24 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> EmseReport:
     threads value produces the same report bit for bit.
 
     In each replication the first estimator that converges is the anchor:
-    it starts cold, as do the fits before it, and every later fit starts
-    at the anchor's estimate (fit_estimator's start).  Every estimator is
-    consistent for the same theta once its intercept shift is applied, so
-    the later fits start within O(n1^-1/2) of their optimum.  A fit whose
-    weighted problem equals the anchor's (the pi0 = 1 and lambda_n = 0
-    fits when the full MLE is the anchor) starts where max|grad| <= tol
-    already holds, takes no step and returns the anchor's estimate bit for
-    bit; with any other anchor they take the full fit's steps from the
-    same start.  So those entries equal the full-data entry exactly in
-    every estimator order.  The one exception is a binding max_iter: a
-    fit that ran out of steps before the anchor existed may converge from
-    the anchor, so put the full estimator first when max_iter is small.
+    it starts cold (see fit_mle), as do the fits before it.  A later fit on
+    a design the replication has already fitted, such as under-bc at pi0
+    after under-w at pi0 on the same subset, starts at that design's latest
+    converged estimate; every other later fit starts at the anchor's
+    estimate.  Both go through fit_estimator's start, which takes the
+    family's intercept shift back off.  Every estimator is consistent for
+    the same theta once its shift is applied, so the later fits start
+    within O(n1^-1/2) of their optimum, and a fit chained on its own
+    design starts closer still.  A fit whose weighted problem equals the
+    anchor's (the pi0 = 1 and lambda_n = 0 fits when the full MLE is the
+    anchor) starts where max|grad| <= tol already holds, takes no step and
+    returns the anchor's estimate bit for bit, and so does its design's
+    second fit, which starts there too; with any other anchor the first of
+    them takes the full fit's steps from the same start.  So those entries
+    equal the full-data entry exactly in every estimator order.  The one
+    exception is a binding max_iter: a fit that ran out of steps before
+    the anchor existed may converge from the anchor, so put the full
+    estimator first when max_iter is small.
 
     threads must be >= 1; with 1 the replications run in this process.
     """

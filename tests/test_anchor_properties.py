@@ -2,11 +2,13 @@
 
 Inside one replication every estimator lies near every other once its
 intercept shift is applied, so run_experiment starts each fit after the
-first converged one at that first estimate.  These properties pin that a
-start changes where a fit begins but not where it ends, that the pi0 = 1
-and lambda_n = 0 entries still equal the full-data entry exactly whatever
-the order of the estimators, and how many Newton steps a replication of
-the acceptance sweeps takes.
+first converged one at that first estimate, or, when the fit's design was
+fitted before, at that design's latest estimate.  These properties pin
+that a start changes where a fit begins but not where it ends, which
+estimate each fit starts at, that the pi0 = 1 and lambda_n = 0 entries
+still equal the full-data entry exactly whatever the order of the
+estimators, and how many Newton steps a replication of the acceptance
+sweeps takes.
 """
 
 import numpy as np
@@ -118,6 +120,45 @@ def test_identity_entries_stay_exact_in_any_order(seed, d, order):
         assert entry.emse_alpha == full.emse_alpha
         assert_array_equal(entry.emse_beta, full.emse_beta)
         assert entry.failed == full.failed
+
+
+def test_a_design_fitted_again_starts_at_its_latest_estimate(monkeypatch):
+    # each design's second fit starts at its first fit's estimate, every
+    # other fit after the anchor at the anchor
+    calls = []
+
+    def recording(kind, data, design, settings, start=None):
+        fit = fit_estimator(kind, data, design, settings, start=start)
+        calls.append((kind, start, fit))
+        return fit
+
+    monkeypatch.setattr(simulation, "fit_estimator", recording)
+    kinds = (
+        K(F.UNDER_BIAS_CORRECTED, 0.3),
+        K(F.FULL),
+        K(F.OVER_WEIGHTED, 2.0),
+        K(F.UNDER_WEIGHTED, 0.3),
+        K(F.OVER_BIAS_CORRECTED, 2.0),
+        K(F.OVER_WEIGHTED, 2.0),
+        K(F.UNDER_WEIGHTED, 0.6),
+    )
+    design = rl.MarginalLogisticDesign(
+        theta=rl.Coefficients(-3.0, [1.0]), law=rl.GaussianLaw.standard(1)
+    )
+    config = rl.ExperimentConfig(
+        design=design, n=3000, reps=1, estimators=kinds, base_seed=4
+    )
+    rl.run_experiment(config)
+    assert [kind for kind, _, _ in calls] == list(kinds) and all(f.converged for *_, f in calls)
+    theta = [fit.theta.as_vector() for _, _, fit in calls]
+    # under-bc@0.3 is the anchor and under-w@0.3's design's first estimate;
+    # over-bc@2 starts at over-w@2, then over-w@2 again at over-bc@2
+    expected = [None, theta[0], theta[0], theta[0], theta[2], theta[4], theta[0]]
+    for (kind, start, _), want in zip(calls, expected):
+        if want is None:
+            assert start is None, kind
+        else:
+            assert_array_equal(start.as_vector(), want, err_msg=str(kind))
 
 
 ACCEPTANCE_RATES = {

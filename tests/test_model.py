@@ -267,15 +267,18 @@ class TestFitMle:
 
     def test_fit_bytes_do_not_depend_on_the_blas_thread_count(self):
         # a 2e5 x 3 fit crosses many kernel blocks; in one whole-array pass
-        # OpenBLAS splits the sums over its threads and moves the last bits
+        # OpenBLAS splits the sums over its threads and moves the last bits.
+        # The rare 1e5 x 1 fit starts from a pilot fit on a row subset.
         script = (
             "import numpy as np\n"
             "from rarelogit import Dataset, fit_mle\n"
-            "rng = np.random.default_rng(7)\n"
-            "x = rng.standard_normal((200_000, 3))\n"
-            "p = 1 / (1 + np.exp(3.0 - x @ [1.0, 0.25, -0.5]))\n"
-            "fit = fit_mle(Dataset(x=x, y=(rng.random(200_000) < p).astype(int)), np.ones(200_000))\n"
-            "print(fit.iterations, (fit.theta.as_vector().tobytes() + fit.neg_hessian.tobytes()).hex())\n"
+            "for seed, n, d, alpha in ((7, 200_000, 3, -3.0), (8, 100_000, 1, -6.0)):\n"
+            "    rng = np.random.default_rng(seed)\n"
+            "    x = rng.standard_normal((n, d))\n"
+            "    p = 1 / (1 + np.exp(-alpha - x @ [1.0, 0.25, -0.5][:d]))\n"
+            "    fit = fit_mle(Dataset(x=x, y=(rng.random(n) < p).astype(int)), np.ones(n))\n"
+            "    assert (fit.pilot_iterations > 0) == (d == 1)\n"
+            "    print(fit.iterations, (fit.theta.as_vector().tobytes() + fit.neg_hessian.tobytes()).hex())\n"
         )
         src = str(Path(rarelogit.__file__).resolve().parents[1])
         outputs = []

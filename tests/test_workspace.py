@@ -29,10 +29,10 @@ from rarelogit import (
 )
 
 
-def rare_data(n, d, seed=0):
+def rare_data(n, d, seed=0, alpha=-3.0):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d))
-    p = 1.0 / (1.0 + np.exp(-(-3.0 + x @ np.linspace(1.0, -0.5, d))))
+    p = 1.0 / (1.0 + np.exp(-(alpha + x @ np.linspace(1.0, -0.5, d))))
     return Dataset(x=x, y=(rng.random(n) < p).astype(np.int64))
 
 
@@ -44,6 +44,7 @@ def fingerprint(fit):
         fit.iterations,
         fit.evaluations,
         fit.converged,
+        fit.pilot_iterations,
     )
 
 
@@ -61,13 +62,23 @@ def fit_problems(data):
 
 
 @pytest.mark.parametrize(
-    "n", [model.BLOCK_ROWS // 2, 3 * model.BLOCK_ROWS + 17], ids=["one-block", "four-blocks"]
+    "n, alpha",
+    [
+        (model.BLOCK_ROWS // 2, -3.0),
+        (3 * model.BLOCK_ROWS + 17, -3.0),
+        # every fit, the 40% subset's too, is rare and large enough for a pilot
+        (int(2.6 * model.PILOT_MIN_ROWS), -5.5),
+    ],
+    ids=["one-block", "four-blocks", "pilot"],
 )
-def test_concurrent_fits_match_sequential_fits_bit_for_bit(n):
-    # the 40% subsets of the four-block dataset span two kernel blocks
-    data = rare_data(n, 2)
+def test_concurrent_fits_match_sequential_fits_bit_for_bit(n, alpha):
+    # the 40% subsets of the four-block dataset span two kernel blocks; a
+    # pilot's own subset shares the buffer of the dataset it starts
+    data = rare_data(n, 2, alpha=alpha)
     problems = fit_problems(data)
     expected = [fingerprint(fit_mle(target, w)) for target, w in problems]
+    took_pilot = [fit[-1] > 0 for fit in expected]
+    assert all(took_pilot) if alpha == -5.5 else not any(took_pilot)
     for _ in range(3):
         got = [None] * len(problems)
         barrier = threading.Barrier(4)
