@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from numpy.testing import assert_array_equal
 from scipy.integrate import quad
 from scipy.special import expit
 
+import rarelogit
 from rarelogit import (
     AllReplicationsFailedError,
     CalibrationError,
@@ -322,6 +327,41 @@ class TestRunExperiment:
         threaded = run_experiment(config, threads=2)
         assert serial.entries == threaded.entries
         assert serial.mean_n1 == threaded.mean_n1
+
+    def test_pool_workers_run_one_blas_thread(self):
+        # A process started with two OpenBLAS threads reports each loaded
+        # library's thread count, and so does every pool worker in place of
+        # its replication's n1; mean_n1 is then the workers' largest count.
+        script = (
+            "import ctypes\n"
+            "import numpy as np\n"
+            "import rarelogit as rl\n"
+            "from rarelogit import simulation\n"
+            "def blas_threads():\n"
+            "    with open('/proc/self/maps') as fh:\n"
+            "        paths = {l.split()[-1] for l in fh if 'openblas' in l.lower() and '.so' in l}\n"
+            "    names = ('openblas_get_num_threads', 'scipy_openblas_get_num_threads64_',\n"
+            "             'scipy_openblas_get_num_threads')\n"
+            "    libs = [ctypes.CDLL(path) for path in paths]\n"
+            "    return max(getattr(lib, n)() for lib in libs for n in names if hasattr(lib, n))\n"
+            "def replication(config, s):\n"
+            "    return blas_threads(), [np.zeros(2)]\n"
+            "simulation._run_replication = replication\n"
+            "config = rl.ExperimentConfig(\n"
+            "    design=rl.ConditionalGaussianDesign(1.0, 0.0, 1.0, 0.2), n=600, reps=8,\n"
+            "    estimators=(rl.EstimatorKind(rl.EstimatorFamily.FULL),), base_seed=1)\n"
+            "print(blas_threads(), rl.run_experiment(config, threads=2).mean_n1)\n"
+        )
+        src = str(Path(rarelogit.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            check=True, timeout=120,
+        )
+        main, workers = run.stdout.split()
+        assert main == str(min(2, os.cpu_count() or 1))
+        assert workers == "1.0"
 
     def test_shared_design_pairs_weighted_and_corrected(self):
         kinds = (
