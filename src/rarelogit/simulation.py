@@ -7,7 +7,7 @@ marginal-logistic design (covariates first, then Bernoulli labels from the
 logistic model).  Each design draws its own data (draw) and gives its own
 true coefficients (true_coefficients).  The harness repeats a design over
 seeded substreams, fits a list of estimators per replication, and
-aggregates empirical mean squared errors.
+aggregates each estimator's errors: eMSE, mean and scaled covariance.
 """
 
 from __future__ import annotations
@@ -286,33 +286,44 @@ def emse(
     """
     if len(estimates) == 0:
         raise ValueError("need at least one estimate")
-    target = theta_t.as_vector()
-    estimated = np.stack([est.as_vector() for est in estimates])
+    return _emse(np.stack([est.as_vector() for est in estimates]), theta_t.as_vector())[:2]
+
+
+def _emse(estimated: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """emse of the stacked estimates, and their error rows estimated - target."""
     if estimated.shape[1] != target.shape[0]:
         raise ValueError("estimate and target dimensions differ")
     with np.errstate(over="ignore"):
-        per_component = np.mean((estimated - target) ** 2, axis=0)
+        errors = estimated - target
+        per_component = np.mean(errors**2, axis=0)
         total = float(per_component[0] + per_component[1:].sum())
     # the components are >= 0, so the total is finite only when each one is
     if not math.isfinite(total):
         raise OverflowError("a squared estimation error is not finite")
-    return total, per_component
+    return total, per_component, errors
 
 
 @dataclass(frozen=True)
 class EstimatorEmse:
-    """Per-estimator slice of an experiment report."""
+    """Per-estimator slice of an experiment report, over its successful replications.
+
+    error_mean is the mean of theta_hat_s - theta_t; scaled_cov is the ddof=1
+    covariance of sqrt(n1_s) (theta_hat_s - theta_t), n1_s replication s's
+    case count, and all NaN with fewer than two successes.
+    """
 
     kind: EstimatorKind
     emse_total: float
     emse_alpha: float
     emse_beta: tuple[float, ...]
+    error_mean: tuple[float, ...]
+    scaled_cov: tuple[tuple[float, ...], ...]
     failed: int
 
 
 @dataclass(frozen=True, eq=False)
 class EmseReport:
-    """Aggregated empirical MSEs for one experiment configuration."""
+    """Empirical MSEs, mean errors and scaled covariances for one configuration."""
 
     entries: tuple[EstimatorEmse, ...]
     reps: int
@@ -430,11 +441,11 @@ def _run_replication(
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> EmseReport:
-    """Run the replicated experiment and aggregate empirical MSEs.
+    """Run the replicated experiment; report each estimator's errors (see EstimatorEmse).
 
     Failed replications (separation, one-class subsamples, singular Newton
-    systems, fits that did not converge) are excluded from an estimator's
-    eMSE and counted in its failed field.  Replications are embarrassingly
+    systems, fits that did not converge) are left out of an estimator's
+    errors and counted in its failed field.  Replications are embarrassingly
     parallel; results are always reduced in replication order, so any
     threads value produces the same report bit for bit.
 
@@ -476,21 +487,23 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> EmseReport:
     mean_n1 = float(np.mean([n1 for n1, _ in results]))
     entries = []
     for i, kind in enumerate(config.estimators):
-        successes = [fits[i] for _, fits in results if fits[i] is not None]
+        successes = [(n1, fits[i]) for n1, fits in results if fits[i] is not None]
         failed = config.reps - len(successes)
         if not successes:
             raise AllReplicationsFailedError(
                 f"all {config.reps} replications failed for {kind.tag.value}"
             )
-        total, comps = emse(
-            [Coefficients.from_vector(v) for v in successes], theta_t
-        )
+        total, comps, errors = _emse(np.stack([fit for _, fit in successes]), theta_t.as_vector())
+        scaled = np.sqrt([n1 for n1, _ in successes])[:, None] * errors
+        cov = np.cov(scaled.T) if len(successes) > 1 else np.full((errors.shape[1],) * 2, np.nan)
         entries.append(
             EstimatorEmse(
                 kind=kind,
                 emse_total=total,
                 emse_alpha=float(comps[0]),
                 emse_beta=tuple(float(c) for c in comps[1:]),
+                error_mean=tuple(errors.mean(axis=0).tolist()),
+                scaled_cov=tuple(map(tuple, cov.tolist())),
                 failed=failed,
             )
         )

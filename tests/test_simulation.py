@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 from scipy.special import expit
 
@@ -23,6 +23,7 @@ from rarelogit import (
     ExperimentConfig,
     GaussianLaw,
     MarginalLogisticDesign,
+    RareLogitError,
     SolverSettings,
     calibrate_intercept,
     emse,
@@ -299,6 +300,9 @@ class TestRunExperiment:
         entry = report.entries[0]
         assert entry.emse_alpha == delta[0] ** 2
         assert entry.emse_total == delta[0] ** 2 + delta[1] ** 2
+        assert entry.error_mean == tuple(delta)
+        # one success has no sample covariance; it is NaN without a RuntimeWarning
+        assert np.isnan(entry.scaled_cov).all() and np.shape(entry.scaled_cov) == (2, 2)
         assert report.mean_n1 == data.n1
 
         # the marginal design: replication 1 draws on substream (seed, 1)
@@ -386,6 +390,24 @@ class TestRunExperiment:
         report = run_experiment(config)
         entry = report.entries[0]
         assert 0 < entry.failed < 40
+
+        # recompute both error fields from the successes alone, each scaled by
+        # its own replication's case count
+        target = config.design.true_coefficients().as_vector()
+        errors, scaled = [], []
+        for s in range(1, 41):
+            data = config.design.draw(40, substream(123, s))
+            try:
+                fit = full_mle(data)
+            except RareLogitError:
+                continue
+            if fit.converged:
+                errors.append(fit.theta.as_vector() - target)
+                scaled.append(math.sqrt(data.n1) * errors[-1])
+        assert len(errors) == 40 - entry.failed
+        centred = np.array(scaled) - np.mean(scaled, axis=0)
+        assert_allclose(entry.error_mean, np.sum(errors, axis=0) / len(errors), rtol=1e-12)
+        assert_allclose(entry.scaled_cov, centred.T @ centred / (len(scaled) - 1), rtol=1e-12)
 
     def test_all_failed_raises(self):
         config = ExperimentConfig(
