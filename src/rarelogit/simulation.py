@@ -15,7 +15,7 @@ from __future__ import annotations
 import ctypes
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -350,7 +350,9 @@ class ExperimentConfig:
     has already fitted starts at that design's latest converged estimate;
     every other fit after the replication's first converged estimate
     starts there (see run_experiment).  Every estimate is scored against
-    design.true_coefficients().
+    design.true_coefficients().  The designs are drawn on one helper
+    thread per replication while its fits run, from the same substreams,
+    so the report does not depend on when each draw finishes.
     """
 
     design: ConditionalGaussianDesign | MarginalLogisticDesign
@@ -408,21 +410,44 @@ def _run_replication(
     config: ExperimentConfig, s: int
 ) -> tuple[int, list[np.ndarray | None]]:
     data = config.design.draw(config.n, substream(config.base_seed, s))
-    designs: dict[tuple, SampleDesign] = {}
+    # each sampling design's key and the first estimator that needs it
+    first: dict[tuple, int] = {}
+    for i, kind in enumerate(config.estimators):
+        if kind.design_kind is not None:
+            first.setdefault((kind.design_kind, kind.rate), i)
+    if not first:
+        return data.n1, _fit_estimators(config, data, {})
+    # built before the helper reads them, so the threads never race to build one
+    data.zt, data._workspace
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        designs = {
+            key: helper.submit(_draw_design, config.estimators[i], data, config.base_seed, s, i)
+            for key, i in first.items()
+        }
+        return data.n1, _fit_estimators(config, data, designs)
+
+
+def _draw_design(kind: EstimatorKind, data: Dataset, base_seed: int, *path: int) -> SampleDesign:
+    """kind's design on substream (base_seed, *path), its subset already gathered."""
+    design = realize_design(kind, data, substream(base_seed, *path))
+    design.select(data)
+    return design
+
+
+def _fit_estimators(
+    config: ExperimentConfig, data: Dataset, designs: dict[tuple, Future]
+) -> list[np.ndarray | None]:
+    """Each estimator's estimate in order, or None where its fit failed."""
     # each design's latest converged estimate, which starts its next fit
     latest: dict[tuple, Coefficients] = {}
     fits: list[np.ndarray | None] = []
     # the first converged estimate; every other later fit starts there
     anchor: Coefficients | None = None
-    for i, kind in enumerate(config.estimators):
+    for kind in config.estimators:
         design = key = None
         if kind.design_kind is not None:
             key = (kind.design_kind, kind.rate)
-            if key not in designs:
-                designs[key] = realize_design(
-                    kind, data, substream(config.base_seed, s, i)
-                )
-            design = designs[key]
+            design = designs[key].result()
         start = latest.get(key, anchor)
         try:
             fit = fit_estimator(kind, data, design, config.solver, start=start)
@@ -437,7 +462,7 @@ def _run_replication(
             anchor = fit.theta
         if key is not None:
             latest[key] = fit.theta
-    return data.n1, fits
+    return fits
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> EmseReport:
@@ -469,9 +494,20 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> EmseReport:
     the anchor existed may converge from the anchor, so put the full
     estimator first when max_iter is small.
 
-    threads must be >= 1; with 1 the replications run in this process.
-    With more, each of the threads worker processes runs its BLAS on one
-    thread (see _one_blas_thread).
+    A replication that needs sampling designs draws them on one helper
+    thread while its fits run, each once on its own substream (see
+    ExperimentConfig); for an under-sampling design the helper also
+    gathers the subset (see SampleDesign.select).  A fit takes its design
+    when it reaches it, and a draw that raised raises there, so the report
+    is the same bit for bit as when the draws ran in line.  The dataset's
+    zt and kernel buffers are built before the helper starts, and the
+    helper is joined before the replication returns or raises.  A
+    replication of full-data fits only starts no thread.
+
+    threads must be >= 1 and counts worker processes, not the helper
+    threads: with 1 the replications run in this process.  With more,
+    each of the threads worker processes runs its BLAS on one thread (see
+    _one_blas_thread).
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")

@@ -3,7 +3,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,7 @@ from rarelogit import (
     generate_conditional,
     generate_marginal,
     run_experiment,
+    simulation,
     substream,
 )
 
@@ -377,6 +380,52 @@ class TestRunExperiment:
         full_entry, w_entry, bc_entry = report.entries
         assert w_entry.emse_total == full_entry.emse_total
         assert bc_entry.emse_total == full_entry.emse_total
+
+    def test_only_replications_with_designs_start_a_helper_thread(self, monkeypatch):
+        executors, started = [], []
+        start = threading.Thread.start
+
+        class CountingExecutor(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                executors.append(self)
+                super().__init__(*args, **kwargs)
+
+        def counting_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(simulation, "ThreadPoolExecutor", CountingExecutor)
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        run_experiment(self.small_config(reps=3))
+        assert executors == [] and started == []
+        # one helper per replication, however many designs it draws
+        kinds = (FULL, *(EstimatorKind(EstimatorFamily.OVER_WEIGHTED, r) for r in (1.0, 3.0)))
+        run_experiment(self.small_config(reps=3, estimators=kinds))
+        assert len(executors) == len(started) == 3
+
+    def test_design_draw_error_raises_where_its_fit_starts(self, monkeypatch):
+        realize, fit = simulation.realize_design, simulation.fit_estimator
+        fitted = []
+
+        def failing_realize(kind, data, rng):
+            if kind.rate == 0.5:
+                raise ValueError("draw at 0.5 failed")
+            return realize(kind, data, rng)
+
+        def recording_fit(kind, *args, **kwargs):
+            fitted.append(kind)
+            return fit(kind, *args, **kwargs)
+
+        monkeypatch.setattr(simulation, "realize_design", failing_realize)
+        monkeypatch.setattr(simulation, "fit_estimator", recording_fit)
+        U = EstimatorFamily.UNDER_WEIGHTED
+        kinds = (FULL, EstimatorKind(U, 0.2), EstimatorKind(U, 0.5), EstimatorKind(U, 0.8))
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="draw at 0.5 failed"):
+            run_experiment(self.small_config(estimators=kinds))
+        # the fits before the failed design ran, in order, and the helper was joined
+        assert fitted == list(kinds[:2])
+        assert threading.active_count() == before
 
     def test_failed_replications_counted(self):
         # tiny n at a rare rate: some replications draw zero cases

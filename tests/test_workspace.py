@@ -4,7 +4,8 @@ Each fitting thread reuses one buffer per dataset, shared with the
 dataset's take() subsets, instead of allocating its own per fit.  These
 tests pin what that reuse must not change: results of concurrent fits,
 results already returned, fits after a failed fit or after a subset that
-outgrew the buffer, pickling, and the allocation it saves.
+outgrew the buffer, subsets gathered on another thread, pickling, and the
+allocation it saves.
 """
 
 import copy
@@ -18,7 +19,11 @@ from numpy.testing import assert_array_equal
 
 from rarelogit import (
     Coefficients,
+    ConditionalGaussianDesign,
     Dataset,
+    EstimatorFamily,
+    EstimatorKind,
+    ExperimentConfig,
     SeparationError,
     SingularHessianError,
     fit_mle,
@@ -26,6 +31,8 @@ from rarelogit import (
     hessian,
     log_likelihood,
     model,
+    run_experiment,
+    simulation,
 )
 
 
@@ -143,6 +150,46 @@ def test_subset_longer_than_its_parent_and_the_parent_after_it_fit_exactly():
     # the subset outgrows the buffer the parent's fit made
     assert fingerprint(fit_mle(sub, np.ones(450))) == fingerprint(fit_mle(fresh_sub, np.ones(450)))
     assert fingerprint(fit_mle(data, np.ones(300))) == expected
+
+
+def test_subsets_gathered_on_the_design_helper_share_the_parent_buffer(monkeypatch):
+    # run_experiment gathers each under-sampled subset on its helper thread;
+    # the fit on the main thread must find the parent's zt and buffer there
+    gathered, checked = {}, []
+    take, fit_estimator = Dataset.take, simulation.fit_estimator
+
+    def recording_take(self, rows):
+        sub = take(self, rows)
+        gathered[id(sub)] = (threading.get_ident(), self.zt)
+        return sub
+
+    def checking_fit(kind, data, design, *args, **kwargs):
+        if design is None:
+            return fit_estimator(kind, data, design, *args, **kwargs)
+        sub, _ = design.select(data)
+        thread, parent_zt = gathered[id(sub)]
+        buf = data._workspace.buf
+        fit = fit_estimator(kind, data, design, *args, **kwargs)
+        checked.append((
+            thread != threading.get_ident(),
+            parent_zt is data.zt,
+            sub._workspace is data._workspace,
+            data._workspace.buf is buf,
+        ))
+        return fit
+
+    monkeypatch.setattr(Dataset, "take", recording_take)
+    monkeypatch.setattr(simulation, "fit_estimator", checking_fit)
+    U, B = EstimatorFamily.UNDER_WEIGHTED, EstimatorFamily.UNDER_BIAS_CORRECTED
+    config = ExperimentConfig(
+        design=ConditionalGaussianDesign(mu1=1.0, mu0=0.0, sigma=1.0, target_rate=0.1),
+        n=3_000,
+        reps=2,
+        estimators=(EstimatorKind(EstimatorFamily.FULL), EstimatorKind(U, 0.3), EstimatorKind(B, 0.3)),
+        base_seed=4,
+    )
+    assert all(entry.failed == 0 for entry in run_experiment(config).entries)
+    assert checked == [(True, True, True, True)] * 4
 
 
 @pytest.mark.parametrize("d", [1, 3])
