@@ -28,18 +28,32 @@ limit constants are c = exp(alpha_t)/pi0 and c_o = lambda_n * exp(alpha_t).
 `covariance` is the one entry point; the v_* functions wrap it.
 Efficiency comparisons between these matrices are statements in the
 Loewner (positive-semidefinite) order.
+
+The pass reads the sample in row blocks of at most BLOCK_ROWS (16,384)
+rows, adds each block's sums of e and of the weighted z z', and divides
+by m once at the end, so its memory is one block's whatever m is.  The
+sample is an (m, d) array, read as views of its row slices, or a
+CovariateBlocks, such as law draws made block by block as the pass reads
+them.  A sample of at most one block gives the one-shot averages bit for
+bit; over more blocks the sums are grouped by block, which moves them
+only by rounding.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Literal, NamedTuple
+from typing import TYPE_CHECKING, Literal, NamedTuple, NoReturn
 
 import numpy as np
 
 from .estimators import EstimatorFamily
-from .model import RareLogitError
+from .model import BLOCK_ROWS, RareLogitError
 from .sampling import DesignKind
+
+if TYPE_CHECKING:
+    from .simulation import GaussianLaw
 
 __all__ = [
     "SCALING_LABEL",
@@ -89,38 +103,123 @@ class VarianceReport:
     lam: float | None = None
 
 
-def _plug_in(xs: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """One checked pass over a covariate sample: z = (1, x')', e = exp(beta'x), E(e)."""
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim == 1:
-        xs = xs[:, None]
-    if xs.ndim != 2:
-        raise ValueError("covariate sample must be an (m, d) matrix")
+class CovariateBlocks(NamedTuple):
+    """A covariate sample of m rows in d columns, read once as consecutive row blocks.
+
+    The plug-in pass holds one block at a time, so a sample drawn block by
+    block never exists whole in memory.  of() passes an in-memory sample as
+    views of its row slices; drawn() makes law draws as the pass reads them.
+    """
+
+    m: int
+    d: int
+    blocks: Iterable[np.ndarray]
+
+    @classmethod
+    def of(cls, xs: np.ndarray) -> CovariateBlocks:
+        """An (m, d) sample, or m values of one covariate, in views of BLOCK_ROWS rows."""
+        xs = np.asarray(xs, dtype=np.float64)
+        if xs.ndim == 1:
+            xs = xs[:, None]
+        if xs.ndim != 2:
+            raise ValueError("covariate sample must be an (m, d) matrix")
+        m = xs.shape[0]
+        return cls(m, xs.shape[1], (xs[lo : lo + BLOCK_ROWS] for lo in range(0, m, BLOCK_ROWS)))
+
+    @classmethod
+    def drawn(cls, law: GaussianLaw, m: int, rng: np.random.Generator) -> CovariateBlocks:
+        """m draws from law, made by law.sample(rows, rng) one block at a time.
+
+        The blocks hold bit for bit the rows of one law.sample(m, rng) call.
+        """
+        sizes = (min(BLOCK_ROWS, m - lo) for lo in range(0, m, BLOCK_ROWS))
+        return cls(m, law.dim, (law.sample(rows, rng) for rows in sizes))
+
+
+def _plug_in(
+    xs: np.ndarray | CovariateBlocks,
+    beta: np.ndarray,
+    transforms: tuple[MomentTransform, ...],
+    k: float,
+) -> tuple[float, list[np.ndarray | None]]:
+    """One checked pass over a covariate sample: E(e), and E(w(e, k) z z') per transform.
+
+    Each row block runs the exponent guard, e = exp(beta'x) and z = (1, x')',
+    and adds its sums of e and of (z w)' z to running totals, which are
+    divided by m once at the end; so memory grows with the block, not with
+    m.  A sample of one block gives the one-shot averages bit for bit.
+    E(e) overflowing raises here; a moment whose integrand overflows comes
+    back as None, for _finite to raise where the moment is used.
+    """
+    sample = xs if isinstance(xs, CovariateBlocks) else CovariateBlocks.of(xs)
+    m, d = sample.m, sample.d
     beta = np.atleast_1d(np.asarray(beta, dtype=np.float64))
-    if beta.shape != (xs.shape[1],):
-        raise ValueError(
-            f"beta has shape {beta.shape}, sample has d={xs.shape[1]}"
-        )
-    if xs.shape[0] < xs.shape[1] + 1:
+    if beta.shape != (d,):
+        raise ValueError(f"beta has shape {beta.shape}, sample has d={d}")
+    if m < d + 1:
         raise ValueError("need at least d + 1 sample rows")
+    # e > 0, so the e totals start at an exact 0; each moment total starts
+    # at its first block's matrix, so one block adds nothing
+    e_sum = e_max = np.float64(0.0)
+    z = zw = None
+    sums: list = [None] * len(transforms)
+    seen = 0
+    blocks = iter(sample.blocks)
+    # overflowing sums turn to inf with no warning and are checked once, after the pass
     with np.errstate(over="ignore", invalid="ignore"):
-        expo = xs @ beta
-    # a nan exponent fails the guard too; only then are the inputs scanned
-    if not np.max(np.abs(expo), initial=0.0) <= EXPONENT_GUARD:
-        if not np.all(np.isfinite(xs)):
-            raise ValueError("covariate sample must be finite")
-        if not np.all(np.isfinite(beta)):
-            raise ValueError("beta must be finite")
-        raise OverflowError(
-            f"exponent magnitude exceeds {EXPONENT_GUARD:g}; the plug-in "
-            "average would overflow"
-        )
-    e = np.exp(expo, out=expo)
-    with np.errstate(over="ignore"):
-        e_mean = float(np.mean(e))
-    if not np.isfinite(e_mean):
+        for block in blocks:
+            expo = block @ beta
+            # a nan exponent fails the guard too; only then are the inputs scanned
+            if not np.max(np.abs(expo), initial=0.0) <= EXPONENT_GUARD:
+                _guard_failed(itertools.chain([block], blocks), beta)
+            e = np.exp(expo, out=expo)
+            rows = block.shape[0]
+            if z is None or z.shape[0] < rows:
+                z = np.ones((rows, d + 1))
+                zw = np.empty_like(z)
+            zb, zwb = z[:rows], zw[:rows]
+            zb[:, 1:] = block
+            e_sum += np.sum(e)
+            e_max = max(e_max, np.max(e))
+            for i, transform in enumerate(transforms):
+                np.multiply(zb, _INTEGRANDS[transform][0](e, k)[:, None], out=zwb)
+                gram = zwb.T @ zb
+                sums[i] = gram if sums[i] is None else sums[i] + gram
+            seen += rows
+        if seen != m:
+            raise ValueError(f"the sample's blocks hold {seen} rows, not m = {m}")
+        e_mean = float(e_sum / m)
+        if not np.isfinite(e_mean):
+            raise OverflowError("nonfinite integrand in the plug-in average")
+        moments = []
+        for transform, total in zip(transforms, sums):
+            power = _INTEGRANDS[transform][1]
+            # 1 + k e is largest where e is; a numpy float's ** overflows to inf
+            peak = (1.0 + k * e_max) ** power if power else 1.0
+            moments.append(_symmetric(total / m) if np.isfinite(peak) else None)
+    return e_mean, moments
+
+
+def _guard_failed(blocks: Iterable[np.ndarray], beta: np.ndarray) -> NoReturn:
+    """Raise for an exponent past the guard; blocks are the failing block and all after it.
+
+    The blocks before it passed the guard, so they are finite.
+    """
+    if not all(np.all(np.isfinite(block)) for block in blocks):
+        raise ValueError("covariate sample must be finite")
+    if not np.all(np.isfinite(beta)):
+        raise ValueError("beta must be finite")
+    raise OverflowError(
+        f"exponent magnitude exceeds {EXPONENT_GUARD:g}; the plug-in "
+        "average would overflow"
+    )
+
+
+def _finite(moment: np.ndarray | None) -> np.ndarray:
+    """A moment matrix from _plug_in, or OverflowError where its integrand overflowed."""
+    if moment is None or not np.all(np.isfinite(moment)):
         raise OverflowError("nonfinite integrand in the plug-in average")
-    return np.hstack([np.ones((xs.shape[0], 1)), xs]), e, e_mean
+    return moment
 
 
 # transform -> (its weight w(e, k) on z z', the power of 1 + k e in w)
@@ -140,19 +239,8 @@ def _gram(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _symmetric((v * w[:, None]).T @ v / v.shape[0])
 
 
-def _moment(z: np.ndarray, e: np.ndarray, transform: MomentTransform, k: float) -> np.ndarray:
-    weight, power = _INTEGRANDS[transform]
-    with np.errstate(over="ignore", invalid="ignore"):
-        # 1 + k e is largest where e is; a numpy float's ** overflows to inf
-        peak = (1.0 + k * np.max(e)) ** power if power else 1.0
-        mat = _gram(z, weight(e, k))
-    if not (np.isfinite(peak) and np.all(np.isfinite(mat))):
-        raise OverflowError("nonfinite integrand in the plug-in average")
-    return mat
-
-
 def moment_matrix(
-    xs: np.ndarray,
+    xs: np.ndarray | CovariateBlocks,
     beta: np.ndarray,
     transform: MomentTransform = "plain",
     constant: float = 0.0,
@@ -169,8 +257,8 @@ def moment_matrix(
     if transform not in _INTEGRANDS:
         raise ValueError(f"unknown transform {transform!r}")
     constant = _check_constant(constant, "constant")
-    z, e, e_mean = _plug_in(xs, beta)
-    return _moment(z, e, transform, constant), e_mean
+    e_mean, (moment,) = _plug_in(xs, beta, (transform,), constant)
+    return _finite(moment), e_mean
 
 
 def _sym_inverse(mat: np.ndarray) -> np.ndarray:
@@ -211,7 +299,7 @@ def required_constants(family: EstimatorFamily) -> tuple[str, ...]:
 
 def covariance(
     family: EstimatorFamily,
-    xs: np.ndarray,
+    xs: np.ndarray | CovariateBlocks,
     beta: np.ndarray,
     *,
     c: float | None = None,
@@ -220,7 +308,10 @@ def covariance(
 ) -> VarianceReport:
     """Asymptotic covariance of a family's estimator, by its table row.
 
-    Constants the family does not use are ignored and not reported.
+    xs is the covariate sample, an (m, d) array or a CovariateBlocks; one
+    pass over its row blocks gives E(e) and both moment matrices, so a
+    sample drawn block by block is never held whole.  Constants the family
+    does not use are ignored and not reported.
     """
     names = required_constants(family)
     given = {"c": c, "c_o": c_o, "lam": lam}
@@ -231,12 +322,14 @@ def covariance(
 
     row = _SANDWICHES[family]
     k = 0.0 if row.constant is None else used[row.constant]
-    z, e, e_mean = _plug_in(xs, beta)
-    bread_inv = _sym_inverse(_moment(z, e, row.bread, k))
-    if row.meat is None or k == 0.0:
+    # no meat, or k = 0, means M = B: the pass then weighs the bread alone
+    transforms = (row.bread,) if row.meat is None or k == 0.0 else (row.bread, row.meat)
+    e_mean, moments = _plug_in(xs, beta, transforms, k)
+    bread_inv = _sym_inverse(_finite(moments[0]))
+    if len(moments) == 1:
         v = e_mean * bread_inv
     else:
-        v = e_mean * _symmetric(bread_inv @ _moment(z, e, row.meat, k) @ bread_inv)
+        v = e_mean * _symmetric(bread_inv @ _finite(moments[1]) @ bread_inv)
     if family.design_kind is DesignKind.OVERSAMPLE:
         v = oversampling_variance_factor(used["lam"]) * v
     return VarianceReport(kind=family, v=v, **used)

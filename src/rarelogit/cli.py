@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (
+    CovariateBlocks,
     _check_constant,
     covariance,
     limit_constants,
@@ -240,7 +241,7 @@ def _covariance_constants(args: argparse.Namespace, family: EstimatorFamily) -> 
 
 
 def _covariance_rows(
-    family: EstimatorFamily, xs: np.ndarray, beta: np.ndarray, constants: dict
+    family: EstimatorFamily, xs: np.ndarray | CovariateBlocks, beta: np.ndarray, constants: dict
 ) -> list[list]:
     """The family's asymptotic covariance as table rows: its constants, then v_i_j."""
     report = covariance(family, xs, beta, **constants)
@@ -410,11 +411,11 @@ def _cmd_variance(args: argparse.Namespace) -> tuple[list[str], list[list]]:
     if args.m < 1:
         raise ValueError(f"--m must be >= 1, got {args.m}")
     if args.xs is not None:
-        xs = load_covariates(args.xs)
+        xs = CovariateBlocks.of(load_covariates(args.xs))
     else:
-        xs = law.sample(args.m, substream(args.seed))
+        xs = CovariateBlocks.drawn(law, args.m, substream(args.seed))
 
-    rows: list[list] = [["kind", family.value], ["m", xs.shape[0]]]
+    rows: list[list] = [["kind", family.value], ["m", xs.m]]
     rows.extend(_covariance_rows(family, xs, beta, constants))
     return ["field", "value"], rows
 

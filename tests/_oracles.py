@@ -133,3 +133,43 @@ def gauss_moment_matrix(beta, transform="plain", constant=0.0):
     m1 = gauss_weighted_moment(beta, 1, transform, constant)
     m2 = gauss_weighted_moment(beta, 2, transform, constant)
     return np.array([[m0, m1], [m1, m2]])
+
+
+# transform -> its weight w(e, k) on z z', written out
+PLUG_IN_WEIGHTS = {
+    "plain": lambda e, k: e,
+    "times": lambda e, k: e * (1.0 + k * e),
+    "over": lambda e, k: e / (1.0 + k * e),
+    "over_sq": lambda e, k: e / (1.0 + k * e) ** 2,
+}
+
+
+def plug_in_direct(xs, beta, transform="plain", constant=0.0):
+    """One-shot plug-in over the whole sample at once: (E(w(e, k) z z'), E(e)).
+
+    z = (1, x')' and e = exp(beta'x) are built for every row in one array
+    each, and the average is one product over all rows, then symmetrised.
+    """
+    xs = np.asarray(xs, dtype=float)
+    xs = xs.reshape(xs.shape[0], -1)
+    z = np.hstack([np.ones((xs.shape[0], 1)), xs])
+    e = np.exp(xs @ np.atleast_1d(np.asarray(beta, dtype=float)))
+    mat = (z * PLUG_IN_WEIGHTS[transform](e, constant)[:, None]).T @ z / xs.shape[0]
+    return 0.5 * (mat + mat.T), float(np.mean(e))
+
+
+def sandwich_direct(xs, beta, bread, meat=None, constant=0.0, factor=1.0):
+    """factor * E(e) * B^-1 M B^-1 from one-shot moments; no meat means M = B.
+
+    B^-1 comes from a symmetric eigendecomposition, vecs diag(1/vals) vecs'.
+    """
+    b, e_mean = plug_in_direct(xs, beta, bread, constant)
+    vals, vecs = np.linalg.eigh(b)
+    b_inv = (vecs / vals) @ vecs.T
+    b_inv = 0.5 * (b_inv + b_inv.T)
+    if meat is None:
+        v = e_mean * b_inv
+    else:
+        s = b_inv @ plug_in_direct(xs, beta, meat, constant)[0] @ b_inv
+        v = e_mean * (0.5 * (s + s.T))
+    return factor * v

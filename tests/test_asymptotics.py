@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from rarelogit import (
     EstimatorFamily,
+    GaussianLaw,
     SCALING_LABEL,
     SingularMomentMatrixError,
     covariance,
@@ -22,7 +23,10 @@ from rarelogit import (
     v_under_weighted,
 )
 
-from _oracles import gauss_moment_matrix
+from rarelogit.asymptotics import CovariateBlocks
+from rarelogit.model import BLOCK_ROWS
+
+from _oracles import gauss_moment_matrix, plug_in_direct, sandwich_direct
 
 BETA = np.array([1.0])
 SQRT_E = np.exp(0.5)
@@ -186,6 +190,104 @@ class TestMomentMatrix:
             warnings.simplefilter("error")
             with pytest.raises(error, match=message):
                 call()
+
+
+LAW_3 = GaussianLaw(means=(0.3, -0.5, 1.0), sds=(0.8, 1.3, 0.5))
+BETA_3 = (0.6, -0.4, 0.3)
+LAM, C, C_O = 2.0, 0.4, 0.9
+FACTOR = ((1.0 + LAM) ** 2 + LAM) / (1.0 + LAM) ** 2
+# family -> (covariance keywords, then sandwich_direct's bread, meat, k and factor)
+FAMILIES = {
+    EstimatorFamily.FULL: ({}, ("plain", None, 0.0, 1.0)),
+    EstimatorFamily.UNDER_WEIGHTED: ({"c": C}, ("plain", "times", C, 1.0)),
+    EstimatorFamily.UNDER_BIAS_CORRECTED: ({"c": C}, ("over", None, C, 1.0)),
+    EstimatorFamily.OVER_WEIGHTED: ({"lam": LAM}, ("plain", None, 0.0, FACTOR)),
+    EstimatorFamily.OVER_BIAS_CORRECTED: ({"lam": LAM, "c_o": C_O}, ("over", "over_sq", C_O, FACTOR)),
+}
+
+
+def law_sample(m, d, seed=41):
+    """m draws of the first d components of LAW_3, and the matching slopes."""
+    law = GaussianLaw(means=LAW_3.means[:d], sds=LAW_3.sds[:d])
+    return law.sample(m, substream(seed)), np.array(BETA_3[:d])
+
+
+def assert_close_normwise(got, want, rtol):
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+class TestRowBlocks:
+    """The plug-in reads its sample in blocks of at most BLOCK_ROWS rows."""
+
+    @pytest.mark.parametrize("m", [1, BLOCK_ROWS, BLOCK_ROWS + 1, 5 * BLOCK_ROWS // 2])
+    def test_law_blocks_are_one_draw(self, m):
+        law = GaussianLaw(means=(1.5, -2.0, 0.25), sds=(0.3, 2.5, 1.0))
+        sample = CovariateBlocks.drawn(law, m, substream(17))
+        blocks = list(sample.blocks)
+        assert (sample.m, sample.d) == (m, 3)
+        assert [b.shape[0] for b in blocks] == [min(BLOCK_ROWS, m - lo) for lo in range(0, m, BLOCK_ROWS)]
+        assert_array_equal(np.concatenate(blocks), law.sample(m, substream(17)))
+
+    @pytest.mark.parametrize("m", [60, BLOCK_ROWS])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_one_block_is_the_one_shot_formula_bit_for_bit(self, d, m):
+        xs, beta = law_sample(m, d)
+        for transform in ("plain", "times", "over", "over_sq"):
+            mat, e_mean = moment_matrix(xs, beta, transform, 0.7)
+            want_mat, want_e = plug_in_direct(xs, beta, transform, 0.7)
+            assert_array_equal(mat, want_mat)
+            assert e_mean == want_e
+        for family, (constants, sandwich) in FAMILIES.items():
+            assert_array_equal(covariance(family, xs, beta, **constants).v, sandwich_direct(xs, beta, *sandwich))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_many_blocks_agree_with_the_one_shot_formula(self, d):
+        xs, beta = law_sample(5 * BLOCK_ROWS // 2 + 3, d)
+        for transform in ("plain", "times", "over", "over_sq"):
+            mat, e_mean = moment_matrix(xs, beta, transform, 0.7)
+            want_mat, want_e = plug_in_direct(xs, beta, transform, 0.7)
+            assert_close_normwise(mat, want_mat, 1e-13)
+            assert e_mean == pytest.approx(want_e, rel=1e-13, abs=0.0)
+        for family, (constants, sandwich) in FAMILIES.items():
+            got = covariance(family, xs, beta, **constants).v
+            # inverting the bread scales its relative rounding by up to its condition number
+            bread, k = sandwich[0], sandwich[2]
+            cond = np.linalg.cond(plug_in_direct(xs, beta, bread, k)[0])
+            assert_close_normwise(got, sandwich_direct(xs, beta, *sandwich), 1e-13 * cond)
+
+    def test_law_blocks_match_the_drawn_sample_at_any_size(self):
+        # both read the same rows at the same block boundaries
+        m = 5 * BLOCK_ROWS // 2
+        xs, beta = law_sample(m, 3)
+        for family, (constants, _) in FAMILIES.items():
+            streamed = covariance(family, CovariateBlocks.drawn(LAW_3, m, substream(41)), beta, **constants)
+            assert_array_equal(streamed.v, covariance(family, xs, beta, **constants).v)
+
+    @pytest.mark.parametrize(
+        "faults, error, message",
+        [
+            ({BLOCK_ROWS + 5: 800.0}, OverflowError, "exponent magnitude exceeds 700"),
+            ({BLOCK_ROWS + 5: np.nan}, ValueError, "covariate sample must be finite"),
+            ({BLOCK_ROWS + 5: -np.inf}, ValueError, "covariate sample must be finite"),
+            # the first block fails the guard, and a later one decides the error
+            ({3: 800.0, 2 * BLOCK_ROWS + 9: np.nan}, ValueError, "covariate sample must be finite"),
+        ],
+        ids=["late-overflow", "late-nan", "late-inf", "overflow-then-nan"],
+    )
+    def test_a_fault_in_a_later_block_raises_as_in_the_first(self, faults, error, message):
+        xs, _ = law_sample(5 * BLOCK_ROWS // 2, 2)
+        for row, value in faults.items():
+            xs[row, 0] = value
+        for compute in (lambda: moment_matrix(xs, [1.0, 0.5], "over", 1.0), lambda: v_full(xs, [1.0, 0.5])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(error, match=message):
+                    compute()
+
+    def test_blocks_must_hold_m_rows(self):
+        sample = CovariateBlocks(5, 1, [np.zeros((3, 1))])
+        with pytest.raises(ValueError, match="the sample's blocks hold 3 rows, not m = 5"):
+            v_full(sample, BETA)
 
 
 class TestVarianceMatrices:

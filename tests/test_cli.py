@@ -3,6 +3,7 @@ import math
 import re
 import runpy
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from numpy.testing import assert_array_equal
 
 from rarelogit import Dataset, cli, substream
 from rarelogit.cli import load_covariates, load_dataset, main, save_dataset
+from rarelogit.model import BLOCK_ROWS
 
 
 def run_cli(args):
@@ -696,6 +698,42 @@ class TestVarianceCommand:
         monkeypatch.setattr(cli, "substream", no_draws)
         argv = ["variance", "--kind", "full", "--beta", 1, "--m", 50, "--law-sd", "1e308"]
         assert run_cli(argv + ["--out", tmp_path / "v.csv"]) == 2
+
+    def test_law_draws_are_held_one_block_at_a_time(self, tmp_path):
+        # the whole 1e6 x 3 draw alone would be 24 MB
+        argv = ["variance", "--kind", "obc", "--beta", "1,-0.5,0.25", "--lambda", 10, "--alpha-t", -5]
+        tracemalloc.start()
+        try:
+            code = run_cli(argv + ["--m", 1_000_000, "--out", tmp_path / "v.csv"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize(
+        "cell, code, message",
+        [
+            ("800", 3, "OverflowError: exponent magnitude exceeds 700; the plug-in average would overflow"),
+            ("nan", 2, f"ValueError: {{path}}: line {BLOCK_ROWS + 7}: cells must be finite"),
+        ],
+        ids=["overflow", "nan"],
+    )
+    def test_late_block_fault_in_xs_file(self, tmp_path, capsys, cell, code, message):
+        # row BLOCK_ROWS + 5 is in the second block; the header is line 1
+        xs = substream(9).standard_normal((5 * BLOCK_ROWS // 2, 2))
+        lines = [f"{a!r},{b!r}" for a, b in xs.tolist()]
+        lines[BLOCK_ROWS + 5] = f"{cell},0.5"
+        xs_path = tmp_path / "xs.csv"
+        xs_path.write_text("x1,x2\n" + "\n".join(lines) + "\n")
+        out = tmp_path / "v.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = run_cli(["variance", "--kind", "ubc", "--beta", "1,0.5", "--c", 0.4, "--xs", xs_path, "--out", out])
+        assert got == code
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert capsys.readouterr().err.splitlines() == [message.format(path=xs_path)]
+        assert not out.exists()
 
     def test_singular_sample_exits_3(self, tmp_path, capsys):
         xs_path = tmp_path / "xs.csv"

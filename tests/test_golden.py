@@ -10,7 +10,7 @@ Regenerate the golden files, after a change that is meant to move them, with
 
     PYTHONPATH=src python tests/test_golden.py
 
-Given a directory, the script writes the 13 result files there instead, so
+Given a directory, the script writes the 14 result files there instead, so
 two commits' outputs compare byte for byte: run it in a checkout of each,
 each with its own directory, then `diff -r` the two directories.  Compare a
 change with its parent commit's output, not with tests/golden/: a file
@@ -50,6 +50,8 @@ CASES = {
     "variance_ubc": VARIANCE + ["--kind", "ubc", "--c", "0.4"],
     "variance_ow": VARIANCE + ["--kind", "ow", "--lambda", "2"],
     "variance_obc": VARIANCE + ["--kind", "obc", "--lambda", "2", "--alpha-t", "-2", "--xs", "{xs}"],
+    # 40,000 law draws are 2.4 of the plug-in's row blocks (argparse keeps the last --m)
+    "variance_uw_blocks": VARIANCE + ["--m", "40000", "--kind", "uw", "--alpha-t", "-2", "--pi0", "0.3"],
     "table1": ["table1", "--n", "2000", "--rate", "0.05", "--reps", "4", "--seed", "2", "--threads", "1"],
     "sweep_under": SWEEP + ["--pi0-grid", "0.3,1"],
     "sweep_over": SWEEP + ["--lambda-grid", "0,2"],
