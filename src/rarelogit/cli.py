@@ -40,7 +40,7 @@ from .estimators import (
     fit_estimator,
     realize_design,
 )
-from .model import Coefficients, Dataset, RareLogitError, SolverSettings
+from .model import BLOCK_ROWS, Coefficients, Dataset, RareLogitError, SolverSettings
 from .sampling import DesignKind, effective_sample_size, substream
 from .simulation import (
     ConditionalGaussianDesign,
@@ -85,13 +85,15 @@ def save_dataset(path: str, data: Dataset) -> None:
     Each line is the template "%d,%.17g,...,%.17g" applied to the row, the
     same conversion as f"{v:.17g}": 17 significant digits, trailing zeros
     dropped, enough for every double (subnormals, -0 and values near 1e308
-    included) to read back to the same bits.
+    included) to read back to the same bits.  The rows are converted to
+    Python numbers BLOCK_ROWS at a time, so a save holds one block's lists.
     """
     template = "%d" + ",%.17g" * data.d + "\n"
-    columns = [data.y.tolist()] + [column.tolist() for column in data.x.T]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["y"] + [f"x{j + 1}" for j in range(data.d)]) + "\n")
-        fh.writelines(template % row for row in zip(*columns))
+        for lo in range(0, data.n, BLOCK_ROWS):
+            rows = slice(lo, lo + BLOCK_ROWS)
+            fh.writelines(template % row for row in zip(data.y[rows].tolist(), *data.x[rows].T.tolist()))
 
 
 def _parse_rows(lines) -> np.ndarray:

@@ -6,7 +6,10 @@ Everything here works on a weighted log-likelihood
 
 with nonnegative observation weights w_i and z_i = (1, x_i')'.  The solver
 is plain Newton ascent with backtracking step-halving, which is globally
-convergent on this concave objective whenever the maximizer exists.
+convergent on this concave objective whenever the maximizer exists.  A
+Newton step reads only the gradient and the Hessian, so the objective is
+computed only where the line search reads it (see fit_mle), and a fit
+that starts where the last one ended takes over its final evaluation.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import functools
 import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -87,8 +91,10 @@ class Dataset:
     rows, plus d + 5 rows of one kernel block's scratch, at most BLOCK_ROWS
     long (2.4 MB at n = 1e5, d = 1).  Its later fits on this dataset and
     on take() subsets of it reuse that buffer, growing it when a fit needs
-    more.  The buffers are freed with the last of the dataset and its
-    subsets, and they are never pickled or copied.
+    more.  Beside the buffer the thread keeps its last fit's final
+    evaluation, which a fit that starts there takes over (see fit_mle).
+    The buffers are freed with the last of the dataset and its subsets,
+    and they are never pickled or copied.
     """
 
     x: np.ndarray
@@ -126,7 +132,7 @@ class Dataset:
 
     @functools.cached_property
     def _workspace(self) -> threading.local:
-        """Per-thread kernel buffers, as attribute buf (see _Kernel)."""
+        """Per-thread kernel buffers (buf) and last final evaluations (last); see _Kernel."""
         return threading.local()
 
     def __getstate__(self) -> dict:
@@ -225,9 +231,13 @@ class FitResult:
     (the maximizer is invariant under positive rescaling of the weights);
     grad_max_norm and neg_hessian refer to that rescaled objective.
     neg_hessian is the negative Hessian at theta, a symmetric positive
-    semidefinite matrix.  evaluations counts kernel evaluations: the
-    start point plus every line-search candidate, so it is iterations + 1
-    when no step was halved.  stop_reason says why the solver stopped:
+    semidefinite matrix.  evaluations counts the kernel's passes over the
+    rows, with or without the objective: the start point, unless it was
+    handed over from the last fit (see fit_mle), plus every line-search
+    candidate, plus the objective of a gradient-accepted iterate where a
+    step from it fell back to halving.  So it is iterations + 1 when no
+    step was halved, and iterations when the start was handed over.
+    stop_reason says why the solver stopped:
     "converged" (max|grad| <= tol), "max_iter" (max_iter steps taken) or
     "stalled" (no halving of the Newton step improved the objective).
     iterations, evaluations and the rest describe this fit only;
@@ -287,23 +297,44 @@ def predict_prob(theta: Coefficients, x_row: np.ndarray) -> float:
     return float(expit(theta.alpha + x_row @ theta.beta))
 
 
+class _Evaluation(NamedTuple):
+    """A kernel pass kept for the next fit: where, at which theta, and its sums.
+
+    obj is None when the pass skipped the objective (see _Kernel.derivatives).
+    """
+
+    zt: np.ndarray
+    theta: bytes
+    obj: float | None
+    grad: np.ndarray
+    neg_hess: np.ndarray
+
+
 class _Kernel:
     """The weighted log-likelihood of one problem and its derivatives.
 
     The design is the dataset's z' = [1; x'], in C order (see Dataset.zt).
-    evaluate() walks it in blocks of BLOCK_ROWS columns and runs each
+    A pass walks it in blocks of at most BLOCK_ROWS columns and runs each
     block's whole chain while the block is in cache, adding the block's
     objective, gradient and negative Hessian to the totals.  A problem of
-    at most one block keeps no block list: it makes one call of each kind
-    over all its rows, so its results do not depend on BLOCK_ROWS.
+    at most one block is one block of all its rows, so its results do not
+    depend on BLOCK_ROWS.  evaluate() computes all three; derivatives()
+    skips the objective's max, log1p and two dot products per row, and its
+    gradient and Hessian are evaluate()'s bit for bit.
 
     Every buffer is a view of the calling thread's one buffer in
     data._workspace: w / scale and w * y over all n rows, then d + 5 rows
     of one block's scratch (the weighted design zv, then eta, e, p and
     phi).  The buffer is shared with the dataset's take() subsets, grows
     when a fit needs more, is freed with the dataset and is never pickled.
-    So after a thread's first fit, neither building the kernel nor an
-    evaluation allocates anything of length n.
+    So after a thread's first fit, neither building the kernel nor a pass
+    allocates anything of length n.
+
+    Beside the buffer, the workspace keeps the last fit's final evaluation
+    (see _newton).  It is valid while the buffer holds the weights it was
+    taken with: a kernel on the same zt object whose w / scale equals the
+    buffer's bit for bit keeps it as last, and any other kernel drops it
+    before it writes the buffer.
 
     Each theta costs one exp per row: with eta = z'theta and
     e = exp(-|eta|), log(1 + e^eta) = max(eta, 0) + log1p(e),
@@ -316,25 +347,28 @@ class _Kernel:
         rows = min(n, BLOCK_ROWS)
         local = data._workspace
         buf = getattr(local, "buf", None)
+        last, local.last = getattr(local, "last", None), None
         if buf is None or buf.size < 2 * n + (k + 4) * rows:
             buf = local.buf = np.empty(2 * n + (k + 4) * rows)
+            last = None
+        self.local, self.zt = local, data.zt
         self.w, self.wy = buf[: 2 * n].reshape(2, n)
-        np.divide(w, scale, out=self.w)
-        np.multiply(self.w, data.y, out=self.wy)
-        zt, scratch = data.zt, buf[2 * n :]
+        scratch = buf[2 * n :]
+        if last is None or last.zt is not self.zt or not _holds(self.w, w, scale, scratch[:rows]):
+            last = None
+            np.divide(w, scale, out=self.w)
+            np.multiply(self.w, data.y, out=self.wy)
+        self.last = last
 
         def work(m: int) -> tuple:
             # a block of m rows: its weighted design zv, then eta, e, p and phi
             return (scratch[: k * m].reshape(k, m), *scratch[k * m : (k + 4) * m].reshape(4, m))
 
-        if n <= BLOCK_ROWS:
-            self.block, self.blocks = (zt, self.w, self.wy, *work(n)), None
-        else:
-            self.blocks = [
-                (zt[:, lo : lo + rows], self.w[lo : lo + rows], self.wy[lo : lo + rows],
-                 *work(min(rows, n - lo)))
-                for lo in range(0, n, rows)
-            ]
+        self.blocks = [
+            (self.zt[:, lo : lo + rows], self.w[lo : lo + rows], self.wy[lo : lo + rows],
+             *work(min(rows, n - lo)))
+            for lo in range(0, n, rows)
+        ]
 
     def evaluate(self, theta_vec: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """Objective, gradient and negative Hessian at theta.
@@ -342,26 +376,49 @@ class _Kernel:
         Huge covariates can overflow the derivatives; _solve_newton rejects
         the nonfinite result, so numpy's overflow warnings are not raised.
         """
+        return self._sums(theta_vec, True)
+
+    def derivatives(self, theta_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """evaluate()'s gradient and negative Hessian, without the objective."""
+        return self._sums(theta_vec, False)[1:]
+
+    def _sums(self, theta_vec: np.ndarray, objective: bool) -> tuple:
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.blocks is None:
-                obj, grad, h = _block_sums(theta_vec, *self.block)
-            else:
-                obj, grad, h = _block_sums(theta_vec, *self.blocks[0])
-                for block in self.blocks[1:]:
-                    more = _block_sums(theta_vec, *block)
+            obj, grad, h = _block_sums(theta_vec, objective, *self.blocks[0])
+            for block in self.blocks[1:]:
+                more = _block_sums(theta_vec, objective, *block)
+                if objective:
                     obj += more[0]
-                    grad += more[1]
-                    h += more[2]
+                grad += more[1]
+                h += more[2]
             return obj, grad, 0.5 * (h + h.T)
 
+    def keep(
+        self, theta_vec: np.ndarray, obj: float | None, grad: np.ndarray, neg_hess: np.ndarray
+    ) -> None:
+        """Keep an evaluation at theta as the workspace's last, copied."""
+        self.local.last = _Evaluation(self.zt, theta_vec.tobytes(), obj, grad.copy(), neg_hess.copy())
 
-def _block_sums(theta_vec, zt, w, wy, zv, eta, e, p, phi) -> tuple[float, np.ndarray, np.ndarray]:
-    """One block's objective, gradient and (unsymmetrized) negative Hessian."""
+
+def _holds(held: np.ndarray, w: np.ndarray, scale: float, tmp: np.ndarray) -> bool:
+    """Whether held is w / scale bit for bit, checked one block at a time in tmp."""
+    for lo in range(0, held.size, tmp.size):
+        part = tmp[: min(tmp.size, held.size - lo)]
+        np.divide(w[lo : lo + part.size], scale, out=part)
+        if not np.array_equal(part.view(np.int64), held[lo : lo + part.size].view(np.int64)):
+            return False
+    return True
+
+
+def _block_sums(theta_vec, objective, zt, w, wy, zv, eta, e, p, phi) -> tuple:
+    """One block's objective (None unless asked for), gradient and unsymmetrized negative Hessian."""
     np.matmul(theta_vec, zt, out=eta)
     np.exp(np.negative(np.abs(eta, out=e), out=e), out=e)
-    # p holds log(1 + e^eta) until the derivatives reuse it
-    np.add(np.maximum(eta, 0.0, out=p), np.log1p(e, out=phi), out=p)
-    obj = float(wy @ eta - w @ p)
+    obj = None
+    if objective:
+        # p holds log(1 + e^eta) until the derivatives reuse it
+        np.add(np.maximum(eta, 0.0, out=p), np.log1p(e, out=phi), out=p)
+        obj = float(wy @ eta - w @ p)
     np.add(1.0, e, out=phi)
     np.divide(e, phi, out=p)  # e/(1 + e)
     np.divide(p, phi, out=phi)  # e/(1 + e)^2 = p(1 - p)
@@ -426,7 +483,18 @@ def fit_mle(
     positive rescaling of the weight vector.  Steps are halved (at most
     30 times) until the objective does not decrease beyond its float
     resolution, which keeps the sequence of accepted objective values
-    nondecreasing up to rounding noise.
+    nondecreasing up to rounding noise.  After the first step, a full
+    Newton step is evaluated without the objective and accepted when the
+    slope along it at the candidate is at least -ACCEPT_SLACK_ULPS eps,
+    which on this concave objective implies the objective rule (the
+    curvature condition of Nocedal & Wright 2006, Numerical Optimization,
+    section 3.1).  A full step that fails it is judged on the objective
+    and halved as above, so the steps are those of the objective rule
+    alone.  A start whose bytes equal the final iterate of this thread's
+    last fit on the same rows (the same zt) with bit-identical rescaled
+    weights takes over that fit's objective, gradient and Hessian at no
+    evaluation; in run_experiment both lambda_n = 0 fits do, and the
+    second pi0 = 1 fit on its subset.
 
     Parameters
     ----------
@@ -506,12 +574,40 @@ def _pilot(data: Dataset, w: np.ndarray, settings: SolverSettings) -> tuple[np.n
     return theta, fit.iterations
 
 
+def _objective_accepts(cand_obj: float, obj: float) -> bool:
+    """The objective rule: the candidate does not lower the objective beyond its float resolution."""
+    slack = ACCEPT_SLACK_ULPS * np.finfo(float).eps * (1.0 + abs(obj))
+    return bool(np.isfinite(cand_obj) and cand_obj >= obj - slack)
+
+
+def _gradient_accepts(cand_grad: np.ndarray, step: np.ndarray) -> bool:
+    """The gradient rule: the objective still rises along step at the candidate.
+
+    h(t) = l(theta + t step) is concave, so h'(1) = grad(theta + step) . step
+    >= 0 gives h(1) >= h(0) + h'(1) >= h(0).  The floor of -ACCEPT_SLACK_ULPS
+    eps lies below the objective rule's slack, so in exact arithmetic this
+    rule accepts only steps the objective rule accepts.
+    """
+    slope = float(cand_grad @ step)
+    return bool(np.isfinite(slope) and slope >= -ACCEPT_SLACK_ULPS * np.finfo(float).eps)
+
+
 def _newton(
     kernel: _Kernel, theta: np.ndarray, settings: SolverSettings, pilot_iterations: int = 0
 ) -> FitResult:
-    """Damped Newton ascent from theta on the kernel's problem (see fit_mle)."""
-    obj, grad, neg_hess = kernel.evaluate(theta)
-    evaluations = 1
+    """Damped Newton ascent from theta on the kernel's problem (see fit_mle).
+
+    obj is None at an iterate the gradient rule accepted, until a step
+    from it falls back to the objective rule.  The final evaluation is
+    kept for the next fit (see _Kernel).
+    """
+    last = kernel.last
+    if last is not None and last.theta == theta.tobytes():
+        obj, grad, neg_hess = last.obj, last.grad, last.neg_hess
+        evaluations = 0
+    else:
+        obj, grad, neg_hess = kernel.evaluate(theta)
+        evaluations = 1
     iterations = 0
     while True:
         grad_norm = float(np.max(np.abs(grad)))
@@ -523,19 +619,29 @@ def _newton(
             break
         step = _solve_newton(neg_hess, grad)
 
-        scale = 1.0
-        slack = ACCEPT_SLACK_ULPS * np.finfo(float).eps * (1.0 + abs(obj))
-        for _ in range(MAX_HALVINGS + 1):
-            cand = theta + scale * step
-            cand_obj, cand_grad, cand_hess = kernel.evaluate(cand)
+        accepted = False
+        if iterations > 0:
+            cand = theta + step
+            cand_obj = None
+            cand_grad, cand_hess = kernel.derivatives(cand)
             evaluations += 1
-            if np.isfinite(cand_obj) and cand_obj >= obj - slack:
+            accepted = _gradient_accepts(cand_grad, step)
+        if not accepted:
+            if obj is None:
+                obj = kernel.evaluate(theta)[0]
+                evaluations += 1
+            scale = 1.0
+            for _ in range(MAX_HALVINGS + 1):
+                cand = theta + scale * step
+                cand_obj, cand_grad, cand_hess = kernel.evaluate(cand)
+                evaluations += 1
+                if _objective_accepts(cand_obj, obj):
+                    break
+                scale *= 0.5
+            else:
+                # numerically stationary: no step improves the objective
+                stop_reason = "stalled"
                 break
-            scale *= 0.5
-        else:
-            # numerically stationary: no step improves the objective
-            stop_reason = "stalled"
-            break
         theta, obj, grad, neg_hess = cand, cand_obj, cand_grad, cand_hess
         iterations += 1
         if np.max(np.abs(theta)) > settings.divergence_bound:
@@ -544,6 +650,7 @@ def _newton(
                 f"{settings.divergence_bound:.3g}: data appear separated"
             )
 
+    kernel.keep(theta, obj, grad, neg_hess)
     return FitResult(
         theta=Coefficients.from_vector(theta),
         iterations=iterations,

@@ -173,3 +173,37 @@ def sandwich_direct(xs, beta, bread, meat=None, constant=0.0, factor=1.0):
         s = b_inv @ plug_in_direct(xs, beta, meat, constant)[0] @ b_inv
         v = e_mean * (0.5 * (s + s.T))
     return factor * v
+
+
+def newton_objective_only(data, w, theta, solve, tol=1e-8, max_iter=100, slack_ulps=16.0, halvings=30):
+    """Damped Newton ascent that judges every candidate on the objective.
+
+    The weights are rescaled by their maximum, as fit_mle rescales them;
+    the sums come from the package's public log_likelihood, gradient and
+    hessian, and solve(neg_hess, grad) gives each Newton step.  A step is
+    halved until the objective does not fall by more than slack_ulps eps
+    (1 + |objective|).  Returns (theta, iterations, stop_reason).
+    """
+    from rarelogit import Coefficients, gradient, hessian, log_likelihood
+
+    w = w / w.max()
+    point = Coefficients.from_vector
+    obj = log_likelihood(data, w, point(theta))
+    iterations = 0
+    while True:
+        grad = gradient(data, w, point(theta))
+        if np.max(np.abs(grad)) <= tol:
+            return theta, iterations, "converged"
+        if iterations >= max_iter:
+            return theta, iterations, "max_iter"
+        step = solve(-hessian(data, w, point(theta)), grad)
+        floor = obj - slack_ulps * np.finfo(float).eps * (1.0 + abs(obj))
+        for k in range(halvings + 1):
+            cand = theta + 0.5**k * step
+            cand_obj = log_likelihood(data, w, point(cand))
+            if np.isfinite(cand_obj) and cand_obj >= floor:
+                break
+        else:
+            return theta, iterations, "stalled"
+        theta, obj = cand, cand_obj
+        iterations += 1

@@ -62,6 +62,24 @@ class TestDatasetIO:
         assert_array_equal(back.x, data.x)
         assert_array_equal(back.y, data.y)
 
+    def test_save_holds_one_block_of_rows_at_a_time(self, tmp_path):
+        # whole-column lists of these 2e5 x 3 rows would take 21 MB
+        rng = substream(5)
+        n = 200_000
+        data = Dataset(x=rng.standard_normal((n, 3)), y=(rng.random(n) < 0.1).astype(int))
+        tracemalloc.start()
+        try:
+            lists = [data.y[:BLOCK_ROWS].tolist()] + [c.tolist() for c in data.x[:BLOCK_ROWS].T]
+            one_block = tracemalloc.get_traced_memory()[0]
+            del lists
+            tracemalloc.reset_peak()
+            save_dataset(str(tmp_path / "d.csv"), data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one block's Python numbers, plus the line being formatted and the file buffer
+        assert peak < 1.25 * one_block
+
     def test_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")

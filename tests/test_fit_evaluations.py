@@ -8,15 +8,15 @@ from rarelogit import Coefficients, Dataset, fit_mle, model
 
 @pytest.fixture()
 def counted(monkeypatch):
-    """A list that grows by one on every kernel evaluation."""
+    """A list that grows by the method's name on every kernel pass over the rows."""
     calls = []
-    evaluate = model._Kernel.evaluate
+    for name in ("evaluate", "derivatives"):
 
-    def counting(self, theta_vec):
-        calls.append(1)
-        return evaluate(self, theta_vec)
+        def counting(self, theta_vec, name=name, method=getattr(model._Kernel, name)):
+            calls.append(name)
+            return method(self, theta_vec)
 
-    monkeypatch.setattr(model._Kernel, "evaluate", counting)
+        monkeypatch.setattr(model._Kernel, name, counting)
     return calls
 
 
@@ -42,12 +42,37 @@ def test_halved_steps_add_evaluations(counted):
     assert fit.evaluations == len(counted)
 
 
-def test_a_start_at_the_optimum_costs_one_evaluation(counted):
+def test_a_start_at_the_last_evaluated_optimum_costs_no_evaluation(counted):
+    # the warm fit starts where the cold one ended, on the same zt and weights,
+    # so it takes over the cold fit's final evaluation
     data = problem()
     cold = fit_mle(data, np.ones(200))
+    calls = len(counted)
     warm = fit_mle(data, np.ones(200), init=cold.theta)
-    assert (warm.iterations, warm.evaluations) == (0, 1)
+    assert (warm.iterations, warm.evaluations, len(counted)) == (0, 0, calls)
     assert warm.theta.as_vector().tobytes() == cold.theta.as_vector().tobytes()
+    assert warm.neg_hessian.tobytes() == cold.neg_hessian.tobytes()
+
+
+@pytest.mark.parametrize("between", ["other-dataset", "subset", "one-weight"])
+def test_a_start_at_the_optimum_of_another_problem_costs_one_evaluation(counted, between):
+    data = problem()
+    cold = fit_mle(data, np.ones(200))
+    target, w = data, np.ones(200)
+    if between == "other-dataset":
+        # the same rows in another Dataset: another zt object
+        target = Dataset(x=data.x.copy(), y=data.y.copy())
+    elif between == "subset":
+        # a take() subset shares the buffer and rewrites its weights
+        model.log_likelihood(data.take(np.arange(150)), np.ones(150), cold.theta)
+    else:
+        w[7] = 1.0 - 2.0**-52
+    calls = len(counted)
+    warm = fit_mle(target, w, init=cold.theta)
+    assert warm.converged
+    assert (warm.iterations, warm.evaluations, len(counted)) == (0, 1, calls + 1)
+    fresh = fit_mle(Dataset(x=data.x.copy(), y=data.y.copy()), w, init=cold.theta)
+    assert warm.neg_hessian.tobytes() == fresh.neg_hessian.tobytes()
 
 
 def test_no_improving_step_stops_the_fit_unconverged(monkeypatch, counted):

@@ -4,12 +4,14 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rarelogit import Dataset
 from rarelogit.cli import load_covariates, load_dataset, save_dataset
+from rarelogit.model import BLOCK_ROWS
 
 from _oracles import save_dataset_direct
 
@@ -61,3 +63,15 @@ class TestRoundTrip:
                 fh.writelines(",".join(f"{v:.17g}" for v in row) + "\n" for row in x.tolist())
             back = load_covariates(path)
         assert back.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, BLOCK_ROWS + 5])
+    def test_dataset_file_across_row_blocks(self, tmp_path, extra):
+        # save_dataset converts BLOCK_ROWS rows at a time: one row short of a
+        # block, one block, one row past it, and into a third block
+        rng = np.random.default_rng(extra + 2)
+        n = BLOCK_ROWS + extra
+        data = Dataset(x=rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-300, 300, (n, 2)),
+                       y=rng.integers(0, 2, n))
+        save_dataset(str(tmp_path / "d.csv"), data)
+        save_dataset_direct(str(tmp_path / "direct.csv"), data)
+        assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
