@@ -84,17 +84,23 @@ class Dataset:
 
     x has shape (n, d) and carries no intercept column; the augmented
     design z' = [1; x'] is built once, on first use, as zt.  y holds 0/1
-    labels.  Case and control counts are derived at construction.
+    labels.  Case and control counts are derived at construction; the
+    indices of the case rows are found once, on first use, like zt.  A
+    weight vector that differs from a constant only on the cases, such as
+    w * y or the inverse-probability weights, is built from them with work
+    of order n1 instead of label arithmetic over all n rows.
 
-    Besides zt, each thread that fits keeps one Newton kernel buffer here,
-    made on its first fit: the rescaled weights w and w * y over the n
-    rows, plus d + 5 rows of one kernel block's scratch, at most BLOCK_ROWS
-    long (2.4 MB at n = 1e5, d = 1).  Its later fits on this dataset and
-    on take() subsets of it reuse that buffer, growing it when a fit needs
-    more.  Beside the buffer the thread keeps its last fit's final
-    evaluation, which a fit that starts there takes over (see fit_mle).
-    The buffers are freed with the last of the dataset and its subsets,
-    and they are never pickled or copied.
+    Besides zt, each thread that fits keeps one Newton kernel buffer in
+    the dataset's workspace, made on its first fit: the rescaled weights
+    w and w * y over the n rows, plus d + 5 rows of one kernel block's
+    scratch, at most BLOCK_ROWS long (2.4 MB at n = 1e5, d = 1).  Its
+    later fits on this dataset and on take() subsets of it reuse that
+    buffer, growing it when a fit needs more.  Beside the buffer the
+    thread keeps its last fit's final evaluation, which a fit that starts
+    there takes over (see fit_mle).  The workspace lives as long as the
+    dataset and its subsets, unless a loop of replications lends one
+    workspace to each of its datasets in turn (see run_experiment); it is
+    never pickled or copied.
     """
 
     x: np.ndarray
@@ -116,11 +122,23 @@ class Dataset:
             raise ValueError(f"y must have shape ({n},), got {y.shape}")
         if not np.all((y == 0) | (y == 1)):
             raise ValueError("labels must be 0 or 1")
-        y = y.astype(np.int64)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "n1", int(y.sum()))
-        object.__setattr__(self, "n0", int(n - y.sum()))
+        self._hold(x, y.astype(np.int64))
+
+    def _hold(self, x: np.ndarray, y: np.ndarray) -> None:
+        n1 = int(y.sum())
+        for name, value in (("x", x), ("y", y), ("n1", n1), ("n0", y.shape[0] - n1)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _drawn(cls, x: np.ndarray, y: np.ndarray) -> "Dataset":
+        """A dataset valid by construction, held as given: no checks, no copies.
+
+        x must be a finite float64 (n, d) array in C order, or a view of a
+        zt's rows as take() makes, and y int64 0/1 labels of length n.
+        """
+        data = object.__new__(cls)
+        data._hold(x, y)
+        return data
 
     @property
     def n(self) -> int:
@@ -135,10 +153,25 @@ class Dataset:
         """Per-thread kernel buffers (buf) and last final evaluations (last); see _Kernel."""
         return threading.local()
 
+    def _use(self, workspace: threading.local) -> None:
+        """Fit in workspace, lent by a loop of replications, instead of a workspace of its own.
+
+        Call it before the first fit or take().  A final evaluation the
+        workspace still keeps from another dataset is never taken over
+        (its zt is another object), but it keeps that zt alive until the
+        next fit; the lender drops it first (see run_experiment).
+        """
+        self.__dict__["_workspace"] = workspace
+
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state.pop("_workspace", None)
         return state
+
+    @functools.cached_property
+    def _cases(self) -> np.ndarray:
+        """The indices of the case rows, in increasing order."""
+        return np.flatnonzero(self.y == 1)  # 5x faster than on the int64 labels
 
     @functools.cached_property
     def zt(self) -> np.ndarray:
@@ -164,11 +197,7 @@ class Dataset:
         and grows the buffer when that is more than it holds (see Dataset).
         """
         zt = np.take(self.zt, rows, axis=1)
-        y = np.take(self.y, rows)
-        n1 = int(y.sum())
-        sub = object.__new__(Dataset)
-        for name, value in (("x", zt[1:].T), ("y", y), ("n1", n1), ("n0", y.shape[0] - n1)):
-            object.__setattr__(sub, name, value)
+        sub = Dataset._drawn(zt[1:].T, np.take(self.y, rows))
         sub.__dict__["zt"] = zt
         sub.__dict__["_workspace"] = self._workspace
         return sub
@@ -259,18 +288,24 @@ class FitResult:
         return self.stop_reason == "converged"
 
 
-def _check_weights(data: Dataset, weights: np.ndarray) -> np.ndarray:
+def _check_weights(data: Dataset, weights: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """The weights as an array, with their smallest and largest value, from one scan each.
+
+    A nan anywhere makes both extremes nan, and an infinity is one of them,
+    so a nonfinite weight is reported before a negative one.
+    """
     w = np.asarray(weights)
     if w.dtype.kind not in "iu":
         # integer counts stay as they are: the kernel converts them as it rescales
         w = w.astype(np.float64, copy=False)
     if w.shape != (data.n,):
         raise ValueError(f"weights must have shape ({data.n},), got {w.shape}")
-    if not np.all(np.isfinite(w)):
+    lo, hi = w.min(), w.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("weights must be finite")
-    if np.any(w < 0):
+    if lo < 0:
         raise ValueError("weights must be nonnegative")
-    return w
+    return w, lo, hi
 
 
 def _check_theta(data: Dataset, theta: Coefficients) -> np.ndarray:
@@ -325,10 +360,14 @@ class _Kernel:
     Every buffer is a view of the calling thread's one buffer in
     data._workspace: w / scale and w * y over all n rows, then d + 5 rows
     of one block's scratch (the weighted design zv, then eta, e, p and
-    phi).  The buffer is shared with the dataset's take() subsets, grows
-    when a fit needs more, is freed with the dataset and is never pickled.
-    So after a thread's first fit, neither building the kernel nor a pass
-    allocates anything of length n.
+    phi).  w * y is written as zeros plus w on the dataset's case rows,
+    without arithmetic on the int64 labels.  The buffer is shared with the
+    dataset's take() subsets, grows when a fit needs more and is never
+    pickled.  It is freed with the workspace: with the dataset, or, in a
+    loop of replications that lends one workspace to each dataset in turn,
+    when the loop ends (see run_experiment).  So after a thread's first
+    fit, neither building the kernel nor a pass allocates anything of
+    length n.
 
     Beside the buffer, the workspace keeps the last fit's final evaluation
     (see _newton).  It is valid while the buffer holds the weights it was
@@ -357,7 +396,10 @@ class _Kernel:
         if last is None or last.zt is not self.zt or not _holds(self.w, w, scale, scratch[:rows]):
             last = None
             np.divide(w, scale, out=self.w)
-            np.multiply(self.w, data.y, out=self.wy)
+            # w * y is w on the cases and 0 elsewhere, bit for bit
+            cases = data._cases
+            self.wy.fill(0.0)
+            self.wy[cases] = self.w[cases]
         self.last = last
 
         def work(m: int) -> tuple:
@@ -430,7 +472,7 @@ def _block_sums(theta_vec, objective, zt, w, wy, zv, eta, e, p, phi) -> tuple:
 
 def _evaluate(data: Dataset, weights: np.ndarray, theta: Coefficients):
     """The kernel's (objective, gradient, negative Hessian) at theta."""
-    w = _check_weights(data, weights)
+    w = _check_weights(data, weights)[0]
     theta_vec = _check_theta(data, theta)
     return _Kernel(data, w, 1.0).evaluate(theta_vec)  # w / 1.0 is w exactly
 
@@ -520,23 +562,23 @@ def fit_mle(
     SeparationError : iterates escaped past divergence_bound.
     SingularHessianError : Newton system unsolvable at a non-stationary point.
     """
-    w = _check_weights(data, weights)
-    if w.min() == 0.0:
+    w, lo, hi = _check_weights(data, weights)
+    if lo == 0.0:
+        # dropping zeros leaves the largest weight, the scale, as it is
         active = np.flatnonzero(w)
         data, w = data.take(active), w[active]
-    y = data.y
-    if not np.any(y == 1) or not np.any(y == 0):
+    if data.n1 == 0 or data.n0 == 0:
         raise AllOneClassError(
             "need at least one positively weighted case and one control"
         )
     # the pilot runs first: its take() subset shares the buffer the kernel uses
     pilot = _pilot(data, w, settings) if init is None else None
-    kernel = _Kernel(data, w, w.max())
+    kernel = _Kernel(data, w, hi)
     if pilot is not None:
         theta, pilot_iterations = pilot
         return _newton(kernel, theta, settings, pilot_iterations)
     if init is None:
-        return _newton(kernel, _log_odds_start(kernel.w, y, data.d), settings)
+        return _newton(kernel, _log_odds_start(kernel.w, data.y, data.d), settings)
     return _newton(kernel, _check_theta(data, init), settings)
 
 
@@ -551,7 +593,7 @@ def _pilot(data: Dataset, w: np.ndarray, settings: SolverSettings) -> tuple[np.n
     """The pilot start of a cold rare-events fit and its steps, or None (see fit_mle)."""
     if data.n < PILOT_MIN_ROWS:
         return None
-    cases = np.flatnonzero(data.y == 1)  # 5x faster than on the int64 labels
+    cases = data._cases
     w1 = w[cases].sum()
     w0 = w.sum() - w1
     if w0 < PILOT_MIN_RATIO * w1:

@@ -182,8 +182,13 @@ def oversample(data: Dataset, lambda_n: float, rng: np.random.Generator) -> Samp
     """
     kind = DesignKind.OVERSAMPLE
     lambda_n = kind.check_rate(lambda_n)
-    v = rng.poisson(lam=lambda_n, size=data.n)
-    return SampleDesign._drawn(kind, lambda_n, data.n, counts=data.y * v + 1)
+    counts = rng.poisson(lam=lambda_n, size=data.n)
+    # y v + 1 in place: v + 1 on the cases, 1 on the controls
+    cases = data._cases
+    drawn = counts[cases]
+    counts.fill(1)
+    counts[cases] += drawn
+    return SampleDesign._drawn(kind, lambda_n, data.n, counts=counts)
 
 
 def effective_sample_size(design: SampleDesign) -> int:

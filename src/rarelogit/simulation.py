@@ -15,6 +15,7 @@ from __future__ import annotations
 import ctypes
 import itertools
 import math
+import threading
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -48,6 +49,10 @@ QUAD_RANGE = 16.0
 # tail draw is r - log(u)/r with r = 3.654 and u >= 2^-53.  So a covariate
 # draw mean + z * sd is finite whenever |mean| + 16 sd is.
 NORMAL_DRAW_BOUND = 16.0
+
+# The kernel workspace a loop of replications on this thread lends to each
+# replication's dataset in turn (see run_experiment); unset outside one.
+_loop = threading.local()
 
 
 class CalibrationError(RareLogitError):
@@ -182,7 +187,8 @@ def generate_conditional(
     y = (rng.random(n) < design.target_rate).astype(np.int64)
     mu = np.where(y == 1, design.mu1, design.mu0)
     x = mu + design.sigma * rng.standard_normal(n)
-    return Dataset(x=x[:, None], y=y), design.true_coefficients()
+    # finite 0/1-labelled draws (see ConditionalGaussianDesign): nothing to check
+    return Dataset._drawn(x[:, None], y), design.true_coefficients()
 
 
 def generate_marginal(
@@ -198,7 +204,8 @@ def generate_marginal(
     p += theta_t.alpha
     expit(p, out=p)
     y = (rng.random(n) < p).astype(np.int64)
-    return Dataset(x=x, y=y)
+    # x is finite by NORMAL_DRAW_BOUND and y 0/1 by construction: nothing to check
+    return Dataset._drawn(x, y)
 
 
 def _quadrature_event_rate(alpha: float, mean: float, sd: float) -> float:
@@ -383,7 +390,8 @@ def _one_blas_thread() -> None:
     It initializes run_experiment's worker processes, which already take
     one core each: a second BLAS thread per worker only oversubscribes the
     cores, and its spin-waits made the pooled sweeps 4-6 times slower on a
-    2-core machine.  Fit bytes do not depend on the BLAS thread count, so
+    2-core machine.  The CLI runs it once per process for the same reason
+    (see cli.main).  Fit bytes do not depend on the BLAS thread count, so
     the report does not change.  Where the loaded libraries cannot be
     listed (no /proc/self/maps), it does nothing.
     """
@@ -406,10 +414,22 @@ def _one_blas_thread() -> None:
                 break
 
 
+def _start_worker() -> None:
+    """Start a pool worker: one BLAS thread, and one workspace for all its replications."""
+    _one_blas_thread()
+    _loop.workspace = threading.local()
+
+
 def _run_replication(
     config: ExperimentConfig, s: int
 ) -> tuple[int, list[np.ndarray | None]]:
+    workspace = getattr(_loop, "workspace", None)
+    if workspace is not None:
+        # the last replication's final evaluation would keep its zt alive through this draw
+        workspace.last = None
     data = config.design.draw(config.n, substream(config.base_seed, s))
+    if workspace is not None:
+        data._use(workspace)
     # each sampling design's key and the first estimator that needs it
     first: dict[tuple, int] = {}
     for i, kind in enumerate(config.estimators):
@@ -418,7 +438,7 @@ def _run_replication(
     if not first:
         return data.n1, _fit_estimators(config, data, {})
     # built before the helper reads them, so the threads never race to build one
-    data.zt, data._workspace
+    data.zt, data._workspace, data._cases
     with ThreadPoolExecutor(max_workers=1) as helper:
         designs = {
             key: helper.submit(_draw_design, config.estimators[i], data, config.base_seed, s, i)
@@ -504,20 +524,32 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> EmseReport:
     helper is joined before the replication returns or raises.  A
     replication of full-data fits only starts no thread.
 
+    The replications run in this process share one kernel workspace (see
+    Dataset): each replication's dataset and its subsets fit in it, so
+    after the first replication no fit allocates a kernel buffer or
+    faults in fresh pages for one.  Each replication drops the last
+    one's final evaluation before it draws, so no dataset outlives its
+    replication, and the workspace is let go when the loop ends, also when
+    it raises.
+
     threads must be >= 1 and counts worker processes, not the helper
     threads: with 1 the replications run in this process.  With more,
     each of the threads worker processes runs its BLAS on one thread (see
-    _one_blas_thread).
+    _one_blas_thread) and lends one workspace to all its replications.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     reps = range(1, config.reps + 1)
     if threads > 1:
         chunk = max(1, config.reps // (4 * threads))
-        with ProcessPoolExecutor(max_workers=threads, initializer=_one_blas_thread) as pool:
+        with ProcessPoolExecutor(max_workers=threads, initializer=_start_worker) as pool:
             results = list(pool.map(_run_replication, itertools.repeat(config), reps, chunksize=chunk))
     else:
-        results = [_run_replication(config, s) for s in reps]
+        _loop.workspace = threading.local()
+        try:
+            results = [_run_replication(config, s) for s in reps]
+        finally:
+            _loop.workspace = None
 
     theta_t = config.design.true_coefficients()
     mean_n1 = float(np.mean([n1 for n1, _ in results]))

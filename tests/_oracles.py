@@ -207,3 +207,38 @@ def newton_objective_only(data, w, theta, solve, tol=1e-8, max_iter=100, slack_u
             return theta, iterations, "stalled"
         theta, obj = cand, cand_obj
         iterations += 1
+
+
+def weighted_labels_direct(w, y, scale):
+    """(w / scale) * y, as n-row arithmetic on the int64 labels."""
+    return np.multiply(np.divide(w, scale), np.asarray(y, dtype=np.int64))
+
+
+def inclusion_divided_direct(scheme, rate, counts, y):
+    """counts / pi(y), with pi(y) built for every row: 1 or pi0, and 1 + lambda_n or 1."""
+    if scheme == "undersample":
+        pi = np.where(y == 1, 1.0, rate)
+    else:
+        pi = np.where(y == 1, 1.0 + rate, 1.0)
+    return counts / pi
+
+
+def oversample_counts_direct(y, draws):
+    """Over-sampling counts y v + 1 from the labels and the Poisson draws v."""
+    return np.asarray(y, dtype=np.int64) * draws + 1
+
+
+def weight_check_message(weights):
+    """The message of the two-pass weight check, or None for valid weights.
+
+    Every weight is checked for finiteness first and for its sign second,
+    so a nan beside a negative weight is reported as nonfinite.
+    """
+    w = np.asarray(weights)
+    if w.dtype.kind not in "iu":
+        w = w.astype(np.float64)
+    if not np.all(np.isfinite(w)):
+        return "weights must be finite"
+    if np.any(w < 0):
+        return "weights must be nonnegative"
+    return None
