@@ -156,25 +156,6 @@ def realize_design(
     return None
 
 
-def _divide_by_inclusion(
-    kind: DesignKind, rate: float, data: Dataset, counts: np.ndarray
-) -> np.ndarray:
-    """counts / pi(y) as floats, bit for bit, without the n-row pi(y).
-
-    pi(y) is 1 on the controls of an over-sampling design and on the cases
-    of an under-sampling one, whose counts are all 1; elsewhere it is one
-    scalar, so only those rows are divided.
-    """
-    if kind is DesignKind.UNDERSAMPLE:
-        weights = np.full(data.n, 1.0 / rate)
-        weights[data._cases] = 1.0
-        return weights
-    weights = counts.astype(np.float64)
-    if rate != 0.0:
-        weights[data._cases] /= 1.0 + rate
-    return weights
-
-
 def fit_estimator(
     kind: EstimatorKind,
     data: Dataset,
@@ -222,7 +203,7 @@ def fit_estimator(
                 f"no controls selected at pi0={design.rate:g} (n0={data.n0})"
             )
         if row.weighted:
-            weights = _divide_by_inclusion(design.kind, design.rate, used, weights)
+            weights = design.kind.divide_by_inclusion(design.rate, used, weights)
         else:
             shift = design.kind.intercept_shift(design.rate)
     if start is not None and shift is not None:

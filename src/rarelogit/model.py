@@ -87,8 +87,8 @@ class Dataset:
     labels.  Case and control counts are derived at construction; the
     indices of the case rows are found once, on first use, like zt.  A
     weight vector that differs from a constant only on the cases, such as
-    w * y or the inverse-probability weights, is built from them with work
-    of order n1 instead of label arithmetic over all n rows.
+    w * y or the over-sampling inverse-probability weights, is built from
+    them with work of order n1 instead of label arithmetic over all n rows.
 
     Besides zt, each thread that fits keeps one Newton kernel buffer in
     the dataset's workspace, made on its first fit: the rescaled weights

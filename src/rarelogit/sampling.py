@@ -79,6 +79,24 @@ class DesignKind(enum.Enum):
             return np.where(y == 1, 1.0, rate)
         return np.where(y == 1, 1.0 + rate, 1.0)
 
+    def divide_by_inclusion(self, rate: float, data: Dataset, counts: np.ndarray) -> np.ndarray:
+        """counts / pi(y) for the rows of data, as float64, without building pi(y).
+
+        pi(y) is 1 on one class (the cases of an under-sampling design, the
+        controls of an over-sampling one) and one scalar on the other, so
+        only that class is divided.  The bits are those of
+        counts / inclusion_weight(rate, data.y).
+        """
+        counts, cases = np.asarray(counts), data._cases
+        if self is DesignKind.UNDERSAMPLE:
+            weights = np.divide(counts, rate, dtype=np.float64)
+            weights[cases] = counts[cases]
+            return weights
+        weights = counts.astype(np.float64)
+        if rate != 0.0:
+            weights[cases] /= 1.0 + rate
+        return weights
+
     def intercept_shift(self, rate: float) -> float:
         """log(pi(0) / pi(1)): log(pi0), or -log(1 + lambda_n)."""
         if self is DesignKind.UNDERSAMPLE:
@@ -96,7 +114,8 @@ class SampleDesign:
     parent dataset (0/1 selection flags for under-sampling), and the
     indicators property gives them back in that form.  A count's
     conditional expectation given the data is pi(y_i), which
-    DesignKind.inclusion_weight computes from the kind and rate.
+    DesignKind.inclusion_weight computes from the kind and rate, and
+    DesignKind.divide_by_inclusion divides a fit's counts by.
     """
 
     kind: DesignKind
@@ -183,11 +202,8 @@ def oversample(data: Dataset, lambda_n: float, rng: np.random.Generator) -> Samp
     kind = DesignKind.OVERSAMPLE
     lambda_n = kind.check_rate(lambda_n)
     counts = rng.poisson(lam=lambda_n, size=data.n)
-    # y v + 1 in place: v + 1 on the cases, 1 on the controls
-    cases = data._cases
-    drawn = counts[cases]
-    counts.fill(1)
-    counts[cases] += drawn
+    np.multiply(counts, data.y, out=counts)
+    counts += 1
     return SampleDesign._drawn(kind, lambda_n, data.n, counts=counts)
 
 

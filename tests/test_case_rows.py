@@ -99,20 +99,22 @@ def test_case_rows_are_the_positive_labels(seed, n, case_rate):
 @given(seed=seeds, n=sizes, case_rate=case_rates)
 def test_inverse_probability_weights_are_counts_over_pi(seed, n, case_rate):
     data, rng = labelled(seed, n, case_rate)
-    for rate in UNDER_RATES:
-        design = SampleDesign(DesignKind.UNDERSAMPLE, rate, rng.random(n) < 0.5)
-        used, ones = design.select(data)
-        got = estimators._divide_by_inclusion(DesignKind.UNDERSAMPLE, rate, used, ones)
-        assert got.dtype == np.float64
-        assert_array_equal(bits(got), bits(inclusion_divided_direct("undersample", rate, ones, used.y)))
-    for rate in OVER_RATES:
-        design = oversample(data, rate, rng)
-        used, counts = design.select(data)
-        got = estimators._divide_by_inclusion(DesignKind.OVERSAMPLE, rate, used, counts)
-        assert got.dtype == np.float64
-        assert_array_equal(bits(got), bits(inclusion_divided_direct("oversample", rate, counts, used.y)))
-        assert counts.dtype == np.int64  # the division left the design's counts alone
-        assert np.all(counts >= 1)
+    for kind, rates in ((DesignKind.UNDERSAMPLE, UNDER_RATES), (DesignKind.OVERSAMPLE, OVER_RATES)):
+        for rate in rates:
+            if kind is DesignKind.UNDERSAMPLE:
+                design = SampleDesign(kind, rate, rng.random(n) < 0.5)
+            else:
+                design = oversample(data, rate, rng)
+            used, selected = design.select(data)
+            drawn = rng.integers(1, 60, used.n)
+            for counts in (selected, drawn, drawn * 0.75, drawn.astype(np.float32)):
+                kept = counts.copy()
+                got = kind.divide_by_inclusion(rate, used, counts)
+                assert got.dtype == np.float64
+                want = inclusion_divided_direct(kind.value, rate, counts, used.y)
+                assert_array_equal(bits(got), bits(want))
+                assert_array_equal(counts, kept)  # the division left the counts alone
+                assert counts.dtype == kept.dtype
 
 
 @PROPERTY
