@@ -8,8 +8,7 @@ with nonnegative observation weights w_i and z_i = (1, x_i')'.  The solver
 is plain Newton ascent with backtracking step-halving, which is globally
 convergent on this concave objective whenever the maximizer exists.  A
 Newton step reads only the gradient and the Hessian, so the objective is
-computed only where the line search reads it (see fit_mle), and a fit
-that starts where the last one ended takes over its final evaluation.
+computed only where the line search reads it (see fit_mle).
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import functools
 import threading
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -95,12 +93,10 @@ class Dataset:
     w and w * y over the n rows, plus d + 5 rows of one kernel block's
     scratch, at most BLOCK_ROWS long (2.4 MB at n = 1e5, d = 1).  Its
     later fits on this dataset and on take() subsets of it reuse that
-    buffer, growing it when a fit needs more.  Beside the buffer the
-    thread keeps its last fit's final evaluation, which a fit that starts
-    there takes over (see fit_mle).  The workspace lives as long as the
-    dataset and its subsets, unless a loop of replications lends one
-    workspace to each of its datasets in turn (see run_experiment); it is
-    never pickled or copied.
+    buffer, growing it when a fit needs more.  The workspace lives as
+    long as the dataset and its subsets, unless a loop of replications
+    lends one workspace to each of its datasets in turn (see
+    run_experiment); it is never pickled or copied.
     """
 
     x: np.ndarray
@@ -150,16 +146,13 @@ class Dataset:
 
     @functools.cached_property
     def _workspace(self) -> threading.local:
-        """Per-thread kernel buffers (buf) and last final evaluations (last); see _Kernel."""
+        """Per-thread kernel buffers (buf); see _Kernel."""
         return threading.local()
 
     def _use(self, workspace: threading.local) -> None:
         """Fit in workspace, lent by a loop of replications, instead of a workspace of its own.
 
-        Call it before the first fit or take().  A final evaluation the
-        workspace still keeps from another dataset is never taken over
-        (its zt is another object), but it keeps that zt alive until the
-        next fit; the lender drops it first (see run_experiment).
+        Call it before the first fit or take().
         """
         self.__dict__["_workspace"] = workspace
 
@@ -261,12 +254,10 @@ class FitResult:
     grad_max_norm and neg_hessian refer to that rescaled objective.
     neg_hessian is the negative Hessian at theta, a symmetric positive
     semidefinite matrix.  evaluations counts the kernel's passes over the
-    rows, with or without the objective: the start point, unless it was
-    handed over from the last fit (see fit_mle), plus every line-search
-    candidate, plus the objective of a gradient-accepted iterate where a
-    step from it fell back to halving.  So it is iterations + 1 when no
-    step was halved, and iterations when the start was handed over.
-    stop_reason says why the solver stopped:
+    rows, with or without the objective: the start point, plus every
+    line-search candidate, plus the objective of a gradient-accepted
+    iterate where a step from it fell back to halving.  So it is
+    iterations + 1 when no step was halved.  stop_reason says why the solver stopped:
     "converged" (max|grad| <= tol), "max_iter" (max_iter steps taken) or
     "stalled" (no halving of the Newton step improved the objective).
     iterations, evaluations and the rest describe this fit only;
@@ -332,19 +323,6 @@ def predict_prob(theta: Coefficients, x_row: np.ndarray) -> float:
     return float(expit(theta.alpha + x_row @ theta.beta))
 
 
-class _Evaluation(NamedTuple):
-    """A kernel pass kept for the next fit: where, at which theta, and its sums.
-
-    obj is None when the pass skipped the objective (see _Kernel.derivatives).
-    """
-
-    zt: np.ndarray
-    theta: bytes
-    obj: float | None
-    grad: np.ndarray
-    neg_hess: np.ndarray
-
-
 class _Kernel:
     """The weighted log-likelihood of one problem and its derivatives.
 
@@ -369,12 +347,6 @@ class _Kernel:
     fit, neither building the kernel nor a pass allocates anything of
     length n.
 
-    Beside the buffer, the workspace keeps the last fit's final evaluation
-    (see _newton).  It is valid while the buffer holds the weights it was
-    taken with: a kernel on the same zt object whose w / scale equals the
-    buffer's bit for bit keeps it as last, and any other kernel drops it
-    before it writes the buffer.
-
     Each theta costs one exp per row: with eta = z'theta and
     e = exp(-|eta|), log(1 + e^eta) = max(eta, 0) + log1p(e),
     p = e/(1 + e) or 1 - e/(1 + e) by the sign of eta, and
@@ -386,28 +358,22 @@ class _Kernel:
         rows = min(n, BLOCK_ROWS)
         local = data._workspace
         buf = getattr(local, "buf", None)
-        last, local.last = getattr(local, "last", None), None
         if buf is None or buf.size < 2 * n + (k + 4) * rows:
             buf = local.buf = np.empty(2 * n + (k + 4) * rows)
-            last = None
-        self.local, self.zt = local, data.zt
         self.w, self.wy = buf[: 2 * n].reshape(2, n)
-        scratch = buf[2 * n :]
-        if last is None or last.zt is not self.zt or not _holds(self.w, w, scale, scratch[:rows]):
-            last = None
-            np.divide(w, scale, out=self.w)
-            # w * y is w on the cases and 0 elsewhere, bit for bit
-            cases = data._cases
-            self.wy.fill(0.0)
-            self.wy[cases] = self.w[cases]
-        self.last = last
+        np.divide(w, scale, out=self.w)
+        # w * y is w on the cases and 0 elsewhere, bit for bit
+        cases = data._cases
+        self.wy.fill(0.0)
+        self.wy[cases] = self.w[cases]
+        zt, scratch = data.zt, buf[2 * n :]
 
         def work(m: int) -> tuple:
             # a block of m rows: its weighted design zv, then eta, e, p and phi
             return (scratch[: k * m].reshape(k, m), *scratch[k * m : (k + 4) * m].reshape(4, m))
 
         self.blocks = [
-            (self.zt[:, lo : lo + rows], self.w[lo : lo + rows], self.wy[lo : lo + rows],
+            (zt[:, lo : lo + rows], self.w[lo : lo + rows], self.wy[lo : lo + rows],
              *work(min(rows, n - lo)))
             for lo in range(0, n, rows)
         ]
@@ -434,22 +400,6 @@ class _Kernel:
                 grad += more[1]
                 h += more[2]
             return obj, grad, 0.5 * (h + h.T)
-
-    def keep(
-        self, theta_vec: np.ndarray, obj: float | None, grad: np.ndarray, neg_hess: np.ndarray
-    ) -> None:
-        """Keep an evaluation at theta as the workspace's last, copied."""
-        self.local.last = _Evaluation(self.zt, theta_vec.tobytes(), obj, grad.copy(), neg_hess.copy())
-
-
-def _holds(held: np.ndarray, w: np.ndarray, scale: float, tmp: np.ndarray) -> bool:
-    """Whether held is w / scale bit for bit, checked one block at a time in tmp."""
-    for lo in range(0, held.size, tmp.size):
-        part = tmp[: min(tmp.size, held.size - lo)]
-        np.divide(w[lo : lo + part.size], scale, out=part)
-        if not np.array_equal(part.view(np.int64), held[lo : lo + part.size].view(np.int64)):
-            return False
-    return True
 
 
 def _block_sums(theta_vec, objective, zt, w, wy, zv, eta, e, p, phi) -> tuple:
@@ -532,11 +482,7 @@ def fit_mle(
     curvature condition of Nocedal & Wright 2006, Numerical Optimization,
     section 3.1).  A full step that fails it is judged on the objective
     and halved as above, so the steps are those of the objective rule
-    alone.  A start whose bytes equal the final iterate of this thread's
-    last fit on the same rows (the same zt) with bit-identical rescaled
-    weights takes over that fit's objective, gradient and Hessian at no
-    evaluation; in run_experiment both lambda_n = 0 fits do, and the
-    second pi0 = 1 fit on its subset.
+    alone.
 
     Parameters
     ----------
@@ -640,16 +586,10 @@ def _newton(
     """Damped Newton ascent from theta on the kernel's problem (see fit_mle).
 
     obj is None at an iterate the gradient rule accepted, until a step
-    from it falls back to the objective rule.  The final evaluation is
-    kept for the next fit (see _Kernel).
+    from it falls back to the objective rule.
     """
-    last = kernel.last
-    if last is not None and last.theta == theta.tobytes():
-        obj, grad, neg_hess = last.obj, last.grad, last.neg_hess
-        evaluations = 0
-    else:
-        obj, grad, neg_hess = kernel.evaluate(theta)
-        evaluations = 1
+    obj, grad, neg_hess = kernel.evaluate(theta)
+    evaluations = 1
     iterations = 0
     while True:
         grad_norm = float(np.max(np.abs(grad)))
@@ -692,7 +632,6 @@ def _newton(
                 f"{settings.divergence_bound:.3g}: data appear separated"
             )
 
-    kernel.keep(theta, obj, grad, neg_hess)
     return FitResult(
         theta=Coefficients.from_vector(theta),
         iterations=iterations,

@@ -73,6 +73,16 @@ class DesignKind(enum.Enum):
             raise ValueError(f"lambda_n must be finite, got {rate}")
         return rate
 
+    @property
+    def identity_rate(self) -> float:
+        """The rate at which pi(y) = 1 for both labels: pi0 = 1, or lambda_n = 0.
+
+        A design drawn at it keeps every row exactly once, whatever the
+        stream: rng.random is always below 1, and Poisson(0) is always 0.
+        So its fits are the full-data fits (see run_experiment).
+        """
+        return 1.0 if self is DesignKind.UNDERSAMPLE else 0.0
+
     def inclusion_weight(self, rate: float, y: np.ndarray) -> np.ndarray:
         """pi(y_i) for each label: the denominators of the inverse-probability weights."""
         if self is DesignKind.UNDERSAMPLE:

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import expit
 
-from .estimators import EstimatorKind, fit_estimator, realize_design
+from .estimators import EstimatorFamily, EstimatorKind, fit_estimator, realize_design
 from .model import Coefficients, Dataset, RareLogitError, SolverSettings
 from .sampling import SampleDesign, substream
 
@@ -53,6 +53,7 @@ NORMAL_DRAW_BOUND = 16.0
 # The kernel workspace a loop of replications on this thread lends to each
 # replication's dataset in turn (see run_experiment); unset outside one.
 _loop = threading.local()
+_FULL = EstimatorKind(EstimatorFamily.FULL)
 
 
 class CalibrationError(RareLogitError):
@@ -352,11 +353,14 @@ class ExperimentConfig:
     its data by design.draw(n, substream(base_seed, s)) and uses substream
     (base_seed, s, i) for the sampling design first needed by estimator i;
     a sampling design is shared by the weighted/bias-corrected variants of
-    the same scheme and rate.  The estimators are fitted in the given
-    order with the solver settings.  A fit on a design this replication
-    has already fitted starts at that design's latest converged estimate;
-    every other fit after the replication's first converged estimate
-    starts there (see run_experiment).  Every estimate is scored against
+    the same scheme and rate.  No design is drawn at a scheme's identity
+    rate (pi0 = 1, lambda_n = 0): those kinds fit the full data, and take
+    the replication's converged full-data estimate once there is one.  The
+    estimators are fitted in the given order with the solver settings.  A
+    fit on a design this replication has already fitted starts at that
+    design's latest converged estimate; every other fit after the
+    replication's first converged estimate starts there (see
+    run_experiment).  Every estimate is scored against
     design.true_coefficients().  The designs are drawn on one helper
     thread per replication while its fits run, from the same substreams,
     so the report does not depend on when each draw finishes.
@@ -423,18 +427,16 @@ def _start_worker() -> None:
 def _run_replication(
     config: ExperimentConfig, s: int
 ) -> tuple[int, list[np.ndarray | None]]:
+    data = config.design.draw(config.n, substream(config.base_seed, s))
     workspace = getattr(_loop, "workspace", None)
     if workspace is not None:
-        # the last replication's final evaluation would keep its zt alive through this draw
-        workspace.last = None
-    data = config.design.draw(config.n, substream(config.base_seed, s))
-    if workspace is not None:
         data._use(workspace)
-    # each sampling design's key and the first estimator that needs it
+    # each drawn design's key and the first estimator that needs it
     first: dict[tuple, int] = {}
     for i, kind in enumerate(config.estimators):
-        if kind.design_kind is not None:
-            first.setdefault((kind.design_kind, kind.rate), i)
+        key = _problem(kind)
+        if key is not None:
+            first.setdefault(key, i)
     if not first:
         return data.n1, _fit_estimators(config, data, {})
     # built before the helper reads them, so the threads never race to build one
@@ -445,6 +447,18 @@ def _run_replication(
             for key, i in first.items()
         }
         return data.n1, _fit_estimators(config, data, designs)
+
+
+def _problem(kind: EstimatorKind) -> tuple | None:
+    """The problem kind fits: its design's (scheme, rate), or None for the full data.
+
+    A design at its scheme's identity rate keeps every row once with
+    weight 1 and shifts the intercept by 0 (see DesignKind.identity_rate).
+    """
+    scheme = kind.design_kind
+    if scheme is None or kind.rate == scheme.identity_rate:
+        return None
+    return scheme, kind.rate
 
 
 def _draw_design(kind: EstimatorKind, data: Dataset, base_seed: int, *path: int) -> SampleDesign:
@@ -458,19 +472,22 @@ def _fit_estimators(
     config: ExperimentConfig, data: Dataset, designs: dict[tuple, Future]
 ) -> list[np.ndarray | None]:
     """Each estimator's estimate in order, or None where its fit failed."""
-    # each design's latest converged estimate, which starts its next fit
-    latest: dict[tuple, Coefficients] = {}
+    # each problem's latest converged estimate, which starts its next fit;
+    # the full-data one, latest[None], is every later full-data kind's estimate
+    latest: dict[tuple | None, Coefficients] = {}
     fits: list[np.ndarray | None] = []
     # the first converged estimate; every other later fit starts there
     anchor: Coefficients | None = None
     for kind in config.estimators:
-        design = key = None
-        if kind.design_kind is not None:
-            key = (kind.design_kind, kind.rate)
-            design = designs[key].result()
-        start = latest.get(key, anchor)
+        key = _problem(kind)
+        if key is None and None in latest:
+            fits.append(latest[None].as_vector())
+            continue
+        design = None if key is None else designs[key].result()
         try:
-            fit = fit_estimator(kind, data, design, config.solver, start=start)
+            fit = fit_estimator(
+                _FULL if key is None else kind, data, design, config.solver, start=latest.get(key, anchor)
+            )
         except RareLogitError:
             fit = None
         # a fit that stopped short of the tolerance is a failure, not an estimate
@@ -480,8 +497,7 @@ def _fit_estimators(
         fits.append(fit.theta.as_vector())
         if anchor is None:
             anchor = fit.theta
-        if key is not None:
-            latest[key] = fit.theta
+        latest[key] = fit.theta
     return fits
 
 
@@ -503,16 +519,18 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> EmseReport:
     family's intercept shift back off.  Every estimator is consistent for
     the same theta once its shift is applied, so the later fits start
     within O(n1^-1/2) of their optimum, and a fit chained on its own
-    design starts closer still.  A fit whose weighted problem equals the
-    anchor's (the pi0 = 1 and lambda_n = 0 fits when the full MLE is the
-    anchor) starts where max|grad| <= tol already holds, takes no step and
-    returns the anchor's estimate bit for bit, and so does its design's
-    second fit, which starts there too; with any other anchor the first of
-    them takes the full fit's steps from the same start.  So those entries
-    equal the full-data entry exactly in every estimator order.  The one
-    exception is a binding max_iter: a fit that ran out of steps before
-    the anchor existed may converge from the anchor, so put the full
-    estimator first when max_iter is small.
+    design starts closer still.
+
+    A kind at its scheme's identity rate (see DesignKind.identity_rate)
+    fits the full estimator's problem bit for bit: every row once, weight
+    1, intercept shift 0.  So the full estimator and those kinds share one
+    problem.  Until a fit of it converges, each of them is fitted as the
+    full estimator from the anchor (or cold, before the anchor exists);
+    every later one takes that estimate without a fit.  Their entries
+    thus equal the full-data entry exactly in every estimator order.  The
+    one exception is a binding max_iter: a fit that ran out of steps
+    before the anchor existed may converge from the anchor, so put the
+    full estimator first when max_iter is small.
 
     A replication that needs sampling designs draws them on one helper
     thread while its fits run, each once on its own substream (see
@@ -522,15 +540,14 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> EmseReport:
     is the same bit for bit as when the draws ran in line.  The dataset's
     zt and kernel buffers are built before the helper starts, and the
     helper is joined before the replication returns or raises.  A
-    replication of full-data fits only starts no thread.
+    replication of full-data problems only starts no thread.
 
     The replications run in this process share one kernel workspace (see
     Dataset): each replication's dataset and its subsets fit in it, so
     after the first replication no fit allocates a kernel buffer or
-    faults in fresh pages for one.  Each replication drops the last
-    one's final evaluation before it draws, so no dataset outlives its
-    replication, and the workspace is let go when the loop ends, also when
-    it raises.
+    faults in fresh pages for one.  The workspace holds nothing but the
+    buffer, so no dataset outlives its replication, and it is let go when
+    the loop ends, also when it raises.
 
     threads must be >= 1 and counts worker processes, not the helper
     threads: with 1 the replications run in this process.  With more,

@@ -242,3 +242,37 @@ def weight_check_message(weights):
     if np.any(w < 0):
         return "weights must be nonnegative"
     return None
+
+
+def replication_direct(config, s):
+    """Replication s of config as (n1, estimates), every kind drawn and fitted on its own.
+
+    Every design is drawn, the pi0 = 1 and lambda_n = 0 ones included, in
+    line, on substream (base_seed, s, i) of the first estimator i of its
+    scheme and rate, and every kind is fitted through fit_estimator, with
+    no estimate taken from another kind.  A fit on a design fitted before
+    starts at that design's latest converged estimate; every other fit
+    starts at the replication's first converged estimate, or cold before
+    there is one.
+    """
+    from rarelogit import RareLogitError, fit_estimator, realize_design, substream
+
+    data = config.design.draw(config.n, substream(config.base_seed, s))
+    designs, latest, anchor, fits = {}, {}, None, []
+    for i, kind in enumerate(config.estimators):
+        key = None if kind.design_kind is None else (kind.design_kind, kind.rate)
+        if key is not None and key not in designs:
+            designs[key] = realize_design(kind, data, substream(config.base_seed, s, i))
+        try:
+            fit = fit_estimator(kind, data, designs.get(key), config.solver, start=latest.get(key, anchor))
+        except RareLogitError:
+            fit = None
+        if fit is None or not fit.converged:
+            fits.append(None)
+            continue
+        fits.append(fit.theta.as_vector())
+        if anchor is None:
+            anchor = fit.theta
+        if key is not None:
+            latest[key] = fit.theta
+    return data.n1, fits

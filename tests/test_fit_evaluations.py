@@ -42,18 +42,6 @@ def test_halved_steps_add_evaluations(counted):
     assert fit.evaluations == len(counted)
 
 
-def test_a_start_at_the_last_evaluated_optimum_costs_no_evaluation(counted):
-    # the warm fit starts where the cold one ended, on the same zt and weights,
-    # so it takes over the cold fit's final evaluation
-    data = problem()
-    cold = fit_mle(data, np.ones(200))
-    calls = len(counted)
-    warm = fit_mle(data, np.ones(200), init=cold.theta)
-    assert (warm.iterations, warm.evaluations, len(counted)) == (0, 0, calls)
-    assert warm.theta.as_vector().tobytes() == cold.theta.as_vector().tobytes()
-    assert warm.neg_hessian.tobytes() == cold.neg_hessian.tobytes()
-
-
 @pytest.mark.parametrize("between", ["other-dataset", "subset", "one-weight"])
 def test_a_start_at_the_optimum_of_another_problem_costs_one_evaluation(counted, between):
     data = problem()

@@ -5,26 +5,18 @@ dataset's take() subsets, instead of allocating its own per fit.  These
 tests pin what that reuse must not change: results of concurrent fits,
 results already returned, fits after a failed fit or after a subset that
 outgrew the buffer, subsets gathered on another thread, pickling, and the
-allocation it saves.  A fit that starts where the thread's last fit on the
-buffer ended takes over that fit's final evaluation; the last tests pin
-when it may, and that a fit that does is the same as in a fresh process.
+allocation it saves.
 """
 
 import copy
-import json
-import os
 import pickle
-import subprocess
-import sys
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-import rarelogit
 from rarelogit import (
     Coefficients,
     ConditionalGaussianDesign,
@@ -228,89 +220,3 @@ def test_repeat_fit_allocates_no_length_n_temporary():
     finally:
         tracemalloc.stop()
     assert peak < 8 * n
-
-
-# A fit that starts where the last fit on this thread's buffer ended takes
-# over that fit's final evaluation, when its zt and rescaled weights are the
-# same (see model._Kernel).  Each case: a cold fit, a step in between, then
-# a warm fit from the cold estimate; whether the warm fit takes it over.
-HANDOVER = {
-    "doubled-weights": True,  # 2w / max(2w) is w / max(w) bit for bit
-    "one-weight": False,  # the last row's weight one ulp lower, in the last block
-    "subset-between": False,  # a take() subset rewrote the shared buffer
-    "second-dataset": False,  # the warm fit runs on a copy: another zt
-    "second-dataset-between": True,  # a copy's fit uses the copy's own buffer
-    "other-thread": False,  # the warm fit runs on a thread with its own buffer
-}
-
-
-def handover_problem():
-    # three blocks and a bit, so the weight check spans blocks; no pilot
-    data = rare_data(3 * model.BLOCK_ROWS + 17, 2, seed=5)
-    return data, np.random.default_rng(6).uniform(0.5, 2.0, data.n)
-
-
-def warm_weights(case, w):
-    if case == "doubled-weights":
-        return 2.0 * w
-    if case == "one-weight":
-        w = w.copy()
-        w[-1] = np.nextafter(w[-1], 0.0)
-    return w
-
-
-def handover_warm_fit(case):
-    """The case's warm fit, after its cold fit and its step in between."""
-    data, w = handover_problem()
-    copy_ = Dataset(x=data.x.copy(), y=data.y.copy())
-    cold = fit_mle(data, w)
-    target = copy_ if case == "second-dataset" else data
-    if case == "subset-between":
-        log_likelihood(data.take(np.arange(0, data.n, 2)), w[::2], cold.theta)
-    if case == "second-dataset-between":
-        fit_mle(copy_, w)
-    args = (target, warm_weights(case, w))
-    if case != "other-thread":
-        return fit_mle(*args, init=cold.theta)
-    with ThreadPoolExecutor(max_workers=1) as other:
-        return other.submit(fit_mle, *args, init=cold.theta).result()
-
-
-def fresh_warm_fits():
-    """Each case's warm fit on a dataset whose buffer no fit has used."""
-    data, w = handover_problem()
-
-    def fresh():
-        return Dataset(x=data.x.copy(), y=data.y.copy())
-
-    cold = fit_mle(fresh(), w)
-    return {case: fit_mle(fresh(), warm_weights(case, w), init=cold.theta) for case in HANDOVER}
-
-
-def handover_fingerprint(fit):
-    # every field but evaluations, which counts the pass the hand-over saves
-    return [fit.theta.as_vector().tobytes().hex(), fit.neg_hessian.tobytes().hex(),
-            fit.grad_max_norm.hex(), fit.iterations, fit.stop_reason, fit.pilot_iterations]
-
-
-@pytest.fixture(scope="module")
-def fresh_process_fits():
-    script = (
-        "import json, test_workspace as t; "
-        "print(json.dumps({c: t.handover_fingerprint(f) for c, f in t.fresh_warm_fits().items()}))"
-    )
-    src = os.path.dirname(os.path.dirname(rarelogit.__file__))
-    tests = os.path.dirname(__file__)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, tests])}
-    out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=600
-    )
-    return json.loads(out.stdout.splitlines()[-1])
-
-
-@pytest.mark.parametrize("case", list(HANDOVER))
-def test_handover_takes_only_an_evaluation_of_the_same_problem(case, fresh_process_fits):
-    warm = handover_warm_fit(case)
-    assert (warm.iterations, warm.stop_reason) == (0, "converged")
-    assert warm.evaluations == (0 if HANDOVER[case] else 1)
-    assert handover_fingerprint(warm) == fresh_process_fits[case]
