@@ -41,7 +41,7 @@ from .estimators import (
     fit_estimator,
     realize_design,
 )
-from .model import BLOCK_ROWS, Coefficients, Dataset, RareLogitError, SolverSettings
+from .model import BLOCK_ROWS, Coefficients, Dataset, RareLogitError, SolverSettings, _lending
 from .sampling import DesignKind, effective_sample_size, substream
 from .simulation import (
     ConditionalGaussianDesign,
@@ -510,7 +510,9 @@ def main(argv: list[str] | None = None) -> int:
     _one_blas_thread_once()
     args = _build_parser().parse_args(argv)
     try:
-        header, rows = args.func(args)
+        # the command's fits share one kernel buffer, dropped when it returns
+        with _lending():
+            header, rows = args.func(args)
         _write_table(args.out, args.seed, header, rows)
         print(args.out)
     except (RareLogitError, OverflowError) as err:

@@ -13,8 +13,10 @@ computed only where the line search reads it (see fit_mle).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import threading
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,16 +89,6 @@ class Dataset:
     weight vector that differs from a constant only on the cases, such as
     w * y or the over-sampling inverse-probability weights, is built from
     them with work of order n1 instead of label arithmetic over all n rows.
-
-    Besides zt, each thread that fits keeps one Newton kernel buffer in
-    the dataset's workspace, made on its first fit: the rescaled weights
-    w and w * y over the n rows, plus d + 5 rows of one kernel block's
-    scratch, at most BLOCK_ROWS long (2.4 MB at n = 1e5, d = 1).  Its
-    later fits on this dataset and on take() subsets of it reuse that
-    buffer, growing it when a fit needs more.  The workspace lives as
-    long as the dataset and its subsets, unless a loop of replications
-    lends one workspace to each of its datasets in turn (see
-    run_experiment); it is never pickled or copied.
     """
 
     x: np.ndarray
@@ -145,23 +137,6 @@ class Dataset:
         return self.x.shape[1]
 
     @functools.cached_property
-    def _workspace(self) -> threading.local:
-        """Per-thread kernel buffers (buf); see _Kernel."""
-        return threading.local()
-
-    def _use(self, workspace: threading.local) -> None:
-        """Fit in workspace, lent by a loop of replications, instead of a workspace of its own.
-
-        Call it before the first fit or take().
-        """
-        self.__dict__["_workspace"] = workspace
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state.pop("_workspace", None)
-        return state
-
-    @functools.cached_property
     def _cases(self) -> np.ndarray:
         """The indices of the case rows, in increasing order."""
         return np.flatnonzero(self.y == 1)  # 5x faster than on the int64 labels
@@ -184,15 +159,11 @@ class Dataset:
 
         rows are indices into this dataset and are not re-checked, and
         neither are the gathered values.  The result's x is a view of its
-        own zt, which is in C order like every zt.  The result shares this
-        dataset's kernel buffers, one per fitting thread; a fit of the
-        subset needs 2 doubles per selected row plus one block's scratch,
-        and grows the buffer when that is more than it holds (see Dataset).
+        own zt, which is in C order like every zt.
         """
         zt = np.take(self.zt, rows, axis=1)
         sub = Dataset._drawn(zt[1:].T, np.take(self.y, rows))
         sub.__dict__["zt"] = zt
-        sub.__dict__["_workspace"] = self._workspace
         return sub
 
 
@@ -323,6 +294,39 @@ def predict_prob(theta: Coefficients, x_row: np.ndarray) -> float:
     return float(expit(theta.alpha + x_row @ theta.beta))
 
 
+# The kernel buffer lent to this thread, as buf, inside a _lending block only.
+_lent = threading.local()
+
+
+@contextlib.contextmanager
+def _lending() -> Iterator[None]:
+    """Lend one kernel buffer to every _Kernel built on this thread inside the block.
+
+    The block's first kernel makes the buffer, a later kernel that needs
+    more grows it, and it is dropped when the outermost block ends, also
+    when it raises.  A block opened inside another reuses the enclosing
+    block's buffer, so a thread holds at most one lent buffer.  A kernel
+    built outside any block, or on another thread, makes its own.
+
+    Each kernel writes the buffer's weights and scratch before it reads
+    them, so which memory holds them cannot change a fit's bytes, and no
+    array a fit returns is a view of it.  But a kernel owns the buffer
+    only until the next kernel on this thread is built, so a block may
+    hold only fits that run one after another, as a CLI command's and a
+    chunk of replications' do (see cli.main and
+    simulation._run_replications).  There, after the first fits, building
+    a kernel allocates nothing of length n.
+    """
+    if hasattr(_lent, "buf"):
+        yield
+        return
+    _lent.buf = np.empty(0)
+    try:
+        yield
+    finally:
+        del _lent.buf
+
+
 class _Kernel:
     """The weighted log-likelihood of one problem and its derivatives.
 
@@ -335,17 +339,12 @@ class _Kernel:
     skips the objective's max, log1p and two dot products per row, and its
     gradient and Hessian are evaluate()'s bit for bit.
 
-    Every buffer is a view of the calling thread's one buffer in
-    data._workspace: w / scale and w * y over all n rows, then d + 5 rows
-    of one block's scratch (the weighted design zv, then eta, e, p and
-    phi).  w * y is written as zeros plus w on the dataset's case rows,
-    without arithmetic on the int64 labels.  The buffer is shared with the
-    dataset's take() subsets, grows when a fit needs more and is never
-    pickled.  It is freed with the workspace: with the dataset, or, in a
-    loop of replications that lends one workspace to each dataset in turn,
-    when the loop ends (see run_experiment).  So after a thread's first
-    fit, neither building the kernel nor a pass allocates anything of
-    length n.
+    Every buffer is a view of one buffer: w / scale and w * y over all n
+    rows, then d + 5 rows of one block's scratch (the weighted design zv,
+    then eta, e, p and phi), 2.4 MB at n = 1e5, d = 1.  w * y is written
+    as zeros plus w on the dataset's case rows, without arithmetic on the
+    int64 labels.  The buffer is the one _lending lends this thread, or
+    the kernel's own outside a _lending block.
 
     Each theta costs one exp per row: with eta = z'theta and
     e = exp(-|eta|), log(1 + e^eta) = max(eta, 0) + log1p(e),
@@ -356,10 +355,11 @@ class _Kernel:
     def __init__(self, data: Dataset, w: np.ndarray, scale: float) -> None:
         k, n = data.d + 1, data.n
         rows = min(n, BLOCK_ROWS)
-        local = data._workspace
-        buf = getattr(local, "buf", None)
-        if buf is None or buf.size < 2 * n + (k + 4) * rows:
-            buf = local.buf = np.empty(2 * n + (k + 4) * rows)
+        size = 2 * n + (k + 4) * rows
+        lent = getattr(_lent, "buf", None)
+        buf = lent if lent is not None and lent.size >= size else np.empty(size)
+        if lent is not None:
+            _lent.buf = buf
         self.w, self.wy = buf[: 2 * n].reshape(2, n)
         np.divide(w, scale, out=self.w)
         # w * y is w on the cases and 0 elsewhere, bit for bit
@@ -517,7 +517,7 @@ def fit_mle(
         raise AllOneClassError(
             "need at least one positively weighted case and one control"
         )
-    # the pilot runs first: its take() subset shares the buffer the kernel uses
+    # the pilot's kernel is done before this one is built (see _lending)
     pilot = _pilot(data, w, settings) if init is None else None
     kernel = _Kernel(data, w, hi)
     if pilot is not None:

@@ -103,8 +103,7 @@ class DesignKind(enum.Enum):
             weights[cases] = counts[cases]
             return weights
         weights = counts.astype(np.float64)
-        if rate != 0.0:
-            weights[cases] /= 1.0 + rate
+        weights[cases] /= 1.0 + rate
         return weights
 
     def intercept_shift(self, rate: float) -> float:
@@ -177,15 +176,13 @@ class SampleDesign:
         """The rows of data this plan uses, and each one's count.
 
         An under-sampling plan's rows are gathered by Dataset.take once per
-        dataset, so the two fits on one design share them; all rows
-        selected means the data itself.  data must be the design's parent
-        (its length is not checked here).
+        dataset, so the two fits on one design share them.  data must be
+        the design's parent (its length is not checked here).
         """
         if self.rows is None:
             return data, self.counts
         if self._selected is None or self._selected[0] is not data:
-            rows = self.rows
-            self._selected = (data, data if rows.shape[0] == data.n else data.take(rows))
+            self._selected = (data, data.take(self.rows))
         subset = self._selected[1]
         return subset, np.ones(subset.n)
 

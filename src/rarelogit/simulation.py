@@ -15,7 +15,6 @@ from __future__ import annotations
 import ctypes
 import itertools
 import math
-import threading
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -24,7 +23,7 @@ from scipy.integrate import quad
 from scipy.special import expit
 
 from .estimators import EstimatorFamily, EstimatorKind, fit_estimator, realize_design
-from .model import Coefficients, Dataset, RareLogitError, SolverSettings
+from .model import Coefficients, Dataset, RareLogitError, SolverSettings, _lending
 from .sampling import SampleDesign, substream
 
 __all__ = [
@@ -50,9 +49,6 @@ QUAD_RANGE = 16.0
 # draw mean + z * sd is finite whenever |mean| + 16 sd is.
 NORMAL_DRAW_BOUND = 16.0
 
-# The kernel workspace a loop of replications on this thread lends to each
-# replication's dataset in turn (see run_experiment); unset outside one.
-_loop = threading.local()
 _FULL = EstimatorKind(EstimatorFamily.FULL)
 
 
@@ -418,29 +414,26 @@ def _one_blas_thread() -> None:
                 break
 
 
-def _start_worker() -> None:
-    """Start a pool worker: one BLAS thread, and one workspace for all its replications."""
-    _one_blas_thread()
-    _loop.workspace = threading.local()
+def _run_replications(
+    config: ExperimentConfig, reps: range
+) -> list[tuple[int, list[np.ndarray | None]]]:
+    """Replications reps of config, in order, their fits sharing one lent kernel buffer."""
+    with _lending():
+        return [_run_replication(config, s) for s in reps]
 
 
 def _run_replication(
     config: ExperimentConfig, s: int
 ) -> tuple[int, list[np.ndarray | None]]:
     data = config.design.draw(config.n, substream(config.base_seed, s))
-    workspace = getattr(_loop, "workspace", None)
-    if workspace is not None:
-        data._use(workspace)
     # each drawn design's key and the first estimator that needs it
     first: dict[tuple, int] = {}
     for i, kind in enumerate(config.estimators):
         key = _problem(kind)
         if key is not None:
             first.setdefault(key, i)
-    if not first:
-        return data.n1, _fit_estimators(config, data, {})
-    # built before the helper reads them, so the threads never race to build one
-    data.zt, data._workspace, data._cases
+    # built before the helper reads it, so the threads never race to build it
+    data.zt
     with ThreadPoolExecutor(max_workers=1) as helper:
         designs = {
             key: helper.submit(_draw_design, config.estimators[i], data, config.base_seed, s, i)
@@ -538,35 +531,30 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> EmseReport:
     gathers the subset (see SampleDesign.select).  A fit takes its design
     when it reaches it, and a draw that raised raises there, so the report
     is the same bit for bit as when the draws ran in line.  The dataset's
-    zt and kernel buffers are built before the helper starts, and the
-    helper is joined before the replication returns or raises.  A
-    replication of full-data problems only starts no thread.
+    zt is built before the helper starts, and the helper is joined before
+    the replication returns or raises.  A replication of full-data
+    problems only starts no thread.
 
-    The replications run in this process share one kernel workspace (see
-    Dataset): each replication's dataset and its subsets fit in it, so
-    after the first replication no fit allocates a kernel buffer or
-    faults in fresh pages for one.  The workspace holds nothing but the
-    buffer, so no dataset outlives its replication, and it is let go when
-    the loop ends, also when it raises.
-
+    The replications run in chunks, each inside one _lending block (see
+    model._lending), so after a chunk's first replication no fit
+    allocates a kernel buffer or faults in fresh pages for one.
     threads must be >= 1 and counts worker processes, not the helper
-    threads: with 1 the replications run in this process.  With more,
-    each of the threads worker processes runs its BLAS on one thread (see
-    _one_blas_thread) and lends one workspace to all its replications.
+    threads: with 1 every replication runs in one chunk in this process.
+    With more, the threads worker processes run chunks of
+    max(1, reps // (4 threads)) replications, each with its BLAS on one
+    thread (see _one_blas_thread).
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     reps = range(1, config.reps + 1)
     if threads > 1:
-        chunk = max(1, config.reps // (4 * threads))
-        with ProcessPoolExecutor(max_workers=threads, initializer=_start_worker) as pool:
-            results = list(pool.map(_run_replication, itertools.repeat(config), reps, chunksize=chunk))
+        size = max(1, config.reps // (4 * threads))
+        chunks = [reps[i : i + size] for i in range(0, config.reps, size)]
+        with ProcessPoolExecutor(max_workers=threads, initializer=_one_blas_thread) as pool:
+            done = pool.map(_run_replications, itertools.repeat(config), chunks)
+            results = [result for chunk in done for result in chunk]
     else:
-        _loop.workspace = threading.local()
-        try:
-            results = [_run_replication(config, s) for s in reps]
-        finally:
-            _loop.workspace = None
+        results = _run_replications(config, reps)
 
     theta_t = config.design.true_coefficients()
     mean_n1 = float(np.mean([n1 for n1, _ in results]))

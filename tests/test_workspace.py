@@ -1,17 +1,18 @@
-"""The kernel buffers a Dataset keeps for its fits and its row subsets' fits.
+"""The kernel buffer model._lending lends the fits of one thread.
 
-Each fitting thread reuses one buffer per dataset, shared with the
-dataset's take() subsets, instead of allocating its own per fit.  These
-tests pin what that reuse must not change: results of concurrent fits,
-results already returned, fits after a failed fit or after a subset that
-outgrew the buffer, subsets gathered on another thread, pickling, and the
-allocation it saves.
+Inside a block, every kernel built on the thread reuses one buffer instead
+of allocating its own.  These tests pin what that reuse must not change:
+results of concurrent fits, results already returned, fits after a failed
+fit or after a subset that outgrew the buffer, subsets gathered on another
+thread and pickling; and the allocation it saves, and how nested blocks
+share and free the buffer.
 """
 
 import copy
 import pickle
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -80,7 +81,8 @@ def fit_problems(data):
 )
 def test_concurrent_fits_match_sequential_fits_bit_for_bit(n, alpha):
     # the 40% subsets of the four-block dataset span two kernel blocks; a
-    # pilot's own subset shares the buffer of the dataset it starts
+    # pilot's kernel shares the lent buffer of the fit it starts, and each
+    # worker fits in its own block while this thread holds another
     data = rare_data(n, 2, alpha=alpha)
     problems = fit_problems(data)
     expected = [fingerprint(fit_mle(target, w)) for target, w in problems]
@@ -92,14 +94,17 @@ def test_concurrent_fits_match_sequential_fits_bit_for_bit(n, alpha):
 
         def work(k):
             barrier.wait()
-            for i in range(k, len(problems), 4):
-                got[i] = fingerprint(fit_mle(*problems[i]))
+            with model._lending():
+                for i in range(k, len(problems), 4):
+                    got[i] = fingerprint(fit_mle(*problems[i]))
 
         threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        with model._lending():
+            fit_mle(*problems[0])
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
         assert got == expected
 
 
@@ -107,14 +112,15 @@ def test_returned_arrays_survive_later_fits():
     data = rare_data(5_000, 3)
     rng = np.random.default_rng(2)
     theta = Coefficients(-2.0, [0.5, -0.5, 0.25])
-    first = fit_mle(data, np.ones(data.n))
-    grad = gradient(data, np.ones(data.n), theta)
-    hess = hessian(data, np.ones(data.n), theta)
-    kept = [a.copy() for a in (first.theta.beta, first.neg_hessian, grad, hess)]
-    fit_mle(data, rng.uniform(0.1, 1.0, data.n))
-    fit_mle(data.take(np.arange(0, data.n, 3)), np.ones(-(-data.n // 3)))
-    log_likelihood(data, rng.uniform(0.1, 1.0, data.n), theta)
-    buf = data._workspace.buf
+    with model._lending():
+        first = fit_mle(data, np.ones(data.n))
+        grad = gradient(data, np.ones(data.n), theta)
+        hess = hessian(data, np.ones(data.n), theta)
+        kept = [a.copy() for a in (first.theta.beta, first.neg_hessian, grad, hess)]
+        fit_mle(data, rng.uniform(0.1, 1.0, data.n))
+        fit_mle(data.take(np.arange(0, data.n, 3)), np.ones(-(-data.n // 3)))
+        log_likelihood(data, rng.uniform(0.1, 1.0, data.n), theta)
+        buf = model._lent.buf
     for now, then in zip((first.theta.beta, first.neg_hessian, grad, hess), kept):
         assert not np.shares_memory(now, buf)
         assert_array_equal(now, then)
@@ -129,14 +135,14 @@ def test_returned_arrays_survive_later_fits():
         (SingularHessianError, np.zeros(8), np.arange(8), Coefficients(-800.0, [0.0])),
     ],
 )
-def test_failed_fit_frees_the_workspace(error, x, rows, init):
+def test_a_failed_fit_in_a_block_leaves_the_next_fit_unchanged(error, x, rows, init):
     data = Dataset(x=np.reshape(x, (8, 1)), y=[0, 0, 0, 1, 1, 1, 0, 1])
     sub = data.take(rows)
-    with pytest.raises(error):
-        fit_mle(sub, np.ones(sub.n), init=init)
-    assert sub._workspace is data._workspace
-    fresh = Dataset(x=data.x.copy(), y=data.y.copy())
-    assert fingerprint(fit_mle(data, np.ones(8))) == fingerprint(fit_mle(fresh, np.ones(8)))
+    expected = fingerprint(fit_mle(data, np.ones(8)))
+    with model._lending():
+        with pytest.raises(error):
+            fit_mle(sub, np.ones(sub.n), init=init)
+        assert fingerprint(fit_mle(data, np.ones(8))) == expected
 
 
 def test_subset_longer_than_its_parent_and_the_parent_after_it_fit_exactly():
@@ -146,15 +152,17 @@ def test_subset_longer_than_its_parent_and_the_parent_after_it_fit_exactly():
     fresh_sub = Dataset(x=data.x[rows], y=data.y[rows])
     fresh = Dataset(x=data.x.copy(), y=data.y.copy())
     expected = fingerprint(fit_mle(fresh, np.ones(300)))
-    assert fingerprint(fit_mle(data, np.ones(300))) == expected
-    # the subset outgrows the buffer the parent's fit made
-    assert fingerprint(fit_mle(sub, np.ones(450))) == fingerprint(fit_mle(fresh_sub, np.ones(450)))
-    assert fingerprint(fit_mle(data, np.ones(300))) == expected
+    expected_sub = fingerprint(fit_mle(fresh_sub, np.ones(450)))
+    with model._lending():
+        assert fingerprint(fit_mle(data, np.ones(300))) == expected
+        # the subset outgrows the buffer the parent's fit made
+        assert fingerprint(fit_mle(sub, np.ones(450))) == expected_sub
+        assert fingerprint(fit_mle(data, np.ones(300))) == expected
 
 
-def test_subsets_gathered_on_the_design_helper_share_the_parent_buffer(monkeypatch):
-    # run_experiment gathers each under-sampled subset on its helper thread;
-    # the fit on the main thread must find the parent's zt and buffer there
+def test_subsets_gathered_on_the_design_helper_read_the_parent_zt(monkeypatch):
+    # run_experiment gathers each under-sampled subset on its helper thread
+    # from the parent's zt, which the main thread built before the helper began
     gathered, checked = {}, []
     take, fit_estimator = Dataset.take, simulation.fit_estimator
 
@@ -168,15 +176,8 @@ def test_subsets_gathered_on_the_design_helper_share_the_parent_buffer(monkeypat
             return fit_estimator(kind, data, design, *args, **kwargs)
         sub, _ = design.select(data)
         thread, parent_zt = gathered[id(sub)]
-        buf = data._workspace.buf
-        fit = fit_estimator(kind, data, design, *args, **kwargs)
-        checked.append((
-            thread != threading.get_ident(),
-            parent_zt is data.zt,
-            sub._workspace is data._workspace,
-            data._workspace.buf is buf,
-        ))
-        return fit
+        checked.append((thread != threading.get_ident(), parent_zt is data.zt))
+        return fit_estimator(kind, data, design, *args, **kwargs)
 
     monkeypatch.setattr(Dataset, "take", recording_take)
     monkeypatch.setattr(simulation, "fit_estimator", checking_fit)
@@ -189,34 +190,54 @@ def test_subsets_gathered_on_the_design_helper_share_the_parent_buffer(monkeypat
         base_seed=4,
     )
     assert all(entry.failed == 0 for entry in run_experiment(config).entries)
-    assert checked == [(True, True, True, True)] * 4
+    assert checked == [(True, True)] * 4
 
 
 @pytest.mark.parametrize("d", [1, 3])
-def test_fitted_datasets_pickle_and_copy_without_the_workspace(d):
+def test_fitted_datasets_pickle_and_copy(d):
     data = rare_data(400, d)
     sub = data.take(np.arange(0, 400, 2))
     fits = [fingerprint(fit_mle(target, np.ones(target.n))) for target in (data, sub)]
-    assert data._workspace.buf is not None
     for target, fit in zip((data, sub), fits):
         for clone in (pickle.loads(pickle.dumps(target)), copy.deepcopy(target)):
-            assert "_workspace" not in clone.__dict__
             for name in ("x", "y", "zt"):
                 assert_array_equal(getattr(clone, name), getattr(target, name))
             assert (clone.n1, clone.n0) == (target.n1, target.n0)
             assert fingerprint(fit_mle(clone, np.ones(clone.n))) == fit
-            assert clone._workspace is not target._workspace
 
 
-def test_repeat_fit_allocates_no_length_n_temporary():
+def test_repeat_fit_in_a_block_allocates_no_length_n_temporary():
     n = 100_000
     data = rare_data(n, 1)
     w = np.random.default_rng(3).uniform(0.5, 1.5, n)
-    fit_mle(data, w)  # the first fit allocates zt and the workspace
-    tracemalloc.start()
-    try:
-        fit_mle(data, w)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    with model._lending():
+        fit_mle(data, w)  # the first fit allocates zt and the lent buffer
+        tracemalloc.start()
+        try:
+            fit_mle(data, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
     assert peak < 8 * n
+
+
+def test_a_nested_block_reuses_the_outer_buffer_and_only_the_outer_block_frees_it():
+    data = rare_data(2_000, 2)
+    small = data.take(np.arange(0, data.n, 4))
+    assert not hasattr(model._lent, "buf")
+    with model._lending():
+        fit_mle(data, np.ones(data.n))
+        outer = model._lent.buf
+        with model._lending():
+            assert model._lent.buf is outer
+            fit_mle(small, np.ones(small.n))
+        assert model._lent.buf is outer
+        # an inner block that raises frees nothing either
+        with pytest.raises(RuntimeError, match="inner"), model._lending():
+            fit_mle(small, np.ones(small.n))
+            raise RuntimeError("inner")
+        assert model._lent.buf is outer
+        lent = weakref.ref(outer)
+        del outer
+    assert not hasattr(model._lent, "buf")
+    assert lent() is None
