@@ -108,7 +108,7 @@ class CovariateBlocks(NamedTuple):
 
     The plug-in pass holds one block at a time, so a sample drawn block by
     block never exists whole in memory.  of() passes an in-memory sample as
-    views of its row slices; drawn() makes law draws as the pass reads them.
+    its row slices in C order; drawn() makes law draws as the pass reads them.
     """
 
     m: int
@@ -117,14 +117,20 @@ class CovariateBlocks(NamedTuple):
 
     @classmethod
     def of(cls, xs: np.ndarray) -> CovariateBlocks:
-        """An (m, d) sample, or m values of one covariate, in views of BLOCK_ROWS rows."""
+        """An (m, d) sample, or m values of one covariate, in blocks of BLOCK_ROWS rows.
+
+        A block is a view of a C-ordered sample and a C-ordered copy of any
+        other, such as Dataset.x: block @ beta rounds differently on the
+        other memory order for d >= 3.
+        """
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim == 1:
             xs = xs[:, None]
         if xs.ndim != 2:
             raise ValueError("covariate sample must be an (m, d) matrix")
         m = xs.shape[0]
-        return cls(m, xs.shape[1], (xs[lo : lo + BLOCK_ROWS] for lo in range(0, m, BLOCK_ROWS)))
+        blocks = (np.ascontiguousarray(xs[lo : lo + BLOCK_ROWS]) for lo in range(0, m, BLOCK_ROWS))
+        return cls(m, xs.shape[1], blocks)
 
     @classmethod
     def drawn(cls, law: GaussianLaw, m: int, rng: np.random.Generator) -> CovariateBlocks:

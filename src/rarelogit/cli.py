@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import itertools
 import os
 import re
@@ -494,20 +493,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _one_blas_thread_once() -> None:
-    """Run BLAS on one thread from the first command on (see simulation._one_blas_thread).
-
-    The kernel's BLAS calls are one block each, too small to gain from a
-    second thread, and beside busy cores a second thread's spin-waits made
-    100 fits at n = 1e5 take 17-35 s instead of 1.5-2.7 s.  Outputs are the
-    same bytes whatever the thread count.
-    """
-    _one_blas_thread()
-
-
 def main(argv: list[str] | None = None) -> int:
-    _one_blas_thread_once()
+    _one_blas_thread()
     args = _build_parser().parse_args(argv)
     try:
         # the command's fits share one kernel buffer, dropped when it returns

@@ -14,10 +14,9 @@ computed only where the line search reads it (see fit_mle).
 from __future__ import annotations
 
 import contextlib
-import functools
 import threading
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -78,26 +77,32 @@ class SingularHessianError(RareLogitError):
     """The Newton system is unsolvable even after the ridge fallback."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Dataset:
-    """Covariate rows plus binary labels.
+    """Covariate rows plus binary labels, held as the design every fit reads.
 
-    x has shape (n, d) and carries no intercept column; the augmented
-    design z' = [1; x'] is built once, on first use, as zt.  y holds 0/1
-    labels.  Case and control counts are derived at construction; the
-    indices of the case rows are found once, on first use, like zt.  A
-    weight vector that differs from a constant only on the cases, such as
-    w * y or the over-sampling inverse-probability weights, is built from
-    them with work of order n1 instead of label arithmetic over all n rows.
+    Dataset(x=x, y=y) takes x of shape (n, d), with no intercept column,
+    and 0/1 labels y.  It holds its own copy of them: the (1 + d) x n
+    transpose z' = [1; x'] as zt, and y as int64.  zt is laid out in C
+    order, one contiguous row per coefficient, for every d: the kernel's
+    products stream along rows, which is faster than the row-major z rows
+    of np.vstack's Fortran order for d >= 2.  x is the view zt[1:].T, so a
+    dataset, pickled or copied, carries one covariate array.  The case and
+    control counts and the indices of the case rows, _cases, are found
+    when the dataset is made.  A weight vector that differs from a constant
+    only on the cases, such as w * y or the over-sampling
+    inverse-probability weights, is built from them with work of order n1
+    instead of label arithmetic over all n rows.
     """
 
-    x: np.ndarray
+    zt: np.ndarray
     y: np.ndarray
-    n1: int = field(init=False)
-    n0: int = field(init=False)
+    _cases: np.ndarray
+    n1: int
+    n0: int
 
-    def __post_init__(self) -> None:
-        x = np.ascontiguousarray(self.x, dtype=np.float64)
+    def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
+        x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError(f"x must be 2-D (n, d), got ndim={x.ndim}")
         n, d = x.shape
@@ -105,66 +110,59 @@ class Dataset:
             raise ValueError(f"need n >= 1 and d >= 1, got shape {x.shape}")
         if not np.all(np.isfinite(x)):
             raise ValueError("covariates must be finite")
-        y = np.asarray(self.y)
+        y = np.asarray(y)
         if y.shape != (n,):
             raise ValueError(f"y must have shape ({n},), got {y.shape}")
         if not np.all((y == 0) | (y == 1)):
             raise ValueError("labels must be 0 or 1")
-        self._hold(x, y.astype(np.int64))
+        self._hold(_augmented(x), y.astype(np.int64))
 
-    def _hold(self, x: np.ndarray, y: np.ndarray) -> None:
-        n1 = int(y.sum())
-        for name, value in (("x", x), ("y", y), ("n1", n1), ("n0", y.shape[0] - n1)):
+    def _hold(self, zt: np.ndarray, y: np.ndarray) -> None:
+        cases = np.flatnonzero(y == 1)  # 5x faster than on the int64 labels
+        n1 = cases.size
+        for name, value in (("zt", zt), ("y", y), ("_cases", cases), ("n1", n1), ("n0", y.shape[0] - n1)):
             object.__setattr__(self, name, value)
 
     @classmethod
-    def _drawn(cls, x: np.ndarray, y: np.ndarray) -> "Dataset":
+    def _drawn(cls, zt: np.ndarray, y: np.ndarray) -> "Dataset":
         """A dataset valid by construction, held as given: no checks, no copies.
 
-        x must be a finite float64 (n, d) array in C order, or a view of a
-        zt's rows as take() makes, and y int64 0/1 labels of length n.
+        zt must be a finite float64 (1 + d, n) array in C order whose first
+        row is ones, as _augmented and take() make it, and y int64 0/1
+        labels of length n that no one else writes to.
         """
         data = object.__new__(cls)
-        data._hold(x, y)
+        data._hold(zt, y)
         return data
 
     @property
+    def x(self) -> np.ndarray:
+        """The (n, d) covariate rows, a view of zt."""
+        return self.zt[1:].T
+
+    @property
     def n(self) -> int:
-        return self.x.shape[0]
+        return self.zt.shape[1]
 
     @property
     def d(self) -> int:
-        return self.x.shape[1]
-
-    @functools.cached_property
-    def _cases(self) -> np.ndarray:
-        """The indices of the case rows, in increasing order."""
-        return np.flatnonzero(self.y == 1)  # 5x faster than on the int64 labels
-
-    @functools.cached_property
-    def zt(self) -> np.ndarray:
-        """The (1 + d) x n transpose z' = [1; x'] that every fit reads.
-
-        It is laid out in C order, one contiguous row per coefficient, for
-        every d: the kernel's products stream along rows, which is faster
-        than the row-major z rows of np.vstack's Fortran order for d >= 2.
-        """
-        zt = np.empty((self.d + 1, self.n))
-        zt[0] = 1.0
-        zt[1:] = self.x.T
-        return zt
+        return self.zt.shape[0] - 1
 
     def take(self, rows: np.ndarray) -> "Dataset":
         """The dataset of the given rows, in their order, gathered from zt.
 
         rows are indices into this dataset and are not re-checked, and
-        neither are the gathered values.  The result's x is a view of its
-        own zt, which is in C order like every zt.
+        neither are the gathered values.
         """
-        zt = np.take(self.zt, rows, axis=1)
-        sub = Dataset._drawn(zt[1:].T, np.take(self.y, rows))
-        sub.__dict__["zt"] = zt
-        return sub
+        return Dataset._drawn(np.take(self.zt, rows, axis=1), np.take(self.y, rows))
+
+
+def _augmented(x: np.ndarray) -> np.ndarray:
+    """z' = [1; x'] of float64 (n, d) rows x in any memory order, in C order."""
+    zt = np.empty((x.shape[1] + 1, x.shape[0]))
+    zt[0] = 1.0
+    zt[1:] = x.T
+    return zt
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,7 +328,7 @@ def _lending() -> Iterator[None]:
 class _Kernel:
     """The weighted log-likelihood of one problem and its derivatives.
 
-    The design is the dataset's z' = [1; x'], in C order (see Dataset.zt).
+    The design is the dataset's z' = [1; x'], zt, in C order (see Dataset).
     A pass walks it in blocks of at most BLOCK_ROWS columns and runs each
     block's whole chain while the block is in cache, adding the block's
     objective, gradient and negative Hessian to the totals.  A problem of

@@ -13,6 +13,7 @@ aggregates each estimator's errors: eMSE, mean and scaled covariance.
 from __future__ import annotations
 
 import ctypes
+import functools
 import itertools
 import math
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
@@ -23,7 +24,7 @@ from scipy.integrate import quad
 from scipy.special import expit
 
 from .estimators import EstimatorFamily, EstimatorKind, fit_estimator, realize_design
-from .model import Coefficients, Dataset, RareLogitError, SolverSettings, _lending
+from .model import Coefficients, Dataset, RareLogitError, SolverSettings, _augmented, _lending
 from .sampling import SampleDesign, substream
 
 __all__ = [
@@ -57,7 +58,7 @@ class CalibrationError(RareLogitError):
 
 
 class AllReplicationsFailedError(RareLogitError):
-    """Every replication failed for some estimator; no eMSE is defined."""
+    """Every replication failed for every estimator; no eMSE is defined."""
 
 
 @dataclass(frozen=True)
@@ -185,7 +186,7 @@ def generate_conditional(
     mu = np.where(y == 1, design.mu1, design.mu0)
     x = mu + design.sigma * rng.standard_normal(n)
     # finite 0/1-labelled draws (see ConditionalGaussianDesign): nothing to check
-    return Dataset._drawn(x[:, None], y), design.true_coefficients()
+    return Dataset._drawn(_augmented(x[:, None]), y), design.true_coefficients()
 
 
 def generate_marginal(
@@ -202,7 +203,7 @@ def generate_marginal(
     expit(p, out=p)
     y = (rng.random(n) < p).astype(np.int64)
     # x is finite by NORMAL_DRAW_BOUND and y 0/1 by construction: nothing to check
-    return Dataset._drawn(x, y)
+    return Dataset._drawn(_augmented(x), y)
 
 
 def _quadrature_event_rate(alpha: float, mean: float, sd: float) -> float:
@@ -313,7 +314,8 @@ class EstimatorEmse:
 
     error_mean is the mean of theta_hat_s - theta_t; scaled_cov is the ddof=1
     covariance of sqrt(n1_s) (theta_hat_s - theta_t), n1_s replication s's
-    case count, and all NaN with fewer than two successes.
+    case count, and all NaN with fewer than two successes.  An estimator
+    that failed in every replication has failed = reps and NaN statistics.
     """
 
     kind: EstimatorKind
@@ -349,17 +351,10 @@ class ExperimentConfig:
     its data by design.draw(n, substream(base_seed, s)) and uses substream
     (base_seed, s, i) for the sampling design first needed by estimator i;
     a sampling design is shared by the weighted/bias-corrected variants of
-    the same scheme and rate.  No design is drawn at a scheme's identity
-    rate (pi0 = 1, lambda_n = 0): those kinds fit the full data, and take
-    the replication's converged full-data estimate once there is one.  The
-    estimators are fitted in the given order with the solver settings.  A
-    fit on a design this replication has already fitted starts at that
-    design's latest converged estimate; every other fit after the
-    replication's first converged estimate starts there (see
-    run_experiment).  Every estimate is scored against
-    design.true_coefficients().  The designs are drawn on one helper
-    thread per replication while its fits run, from the same substreams,
-    so the report does not depend on when each draw finishes.
+    the same scheme and rate.  The estimators are fitted in the given
+    order with the solver settings, from the starts run_experiment
+    describes, and every estimate is scored against
+    design.true_coefficients().
     """
 
     design: ConditionalGaussianDesign | MarginalLogisticDesign
@@ -384,16 +379,19 @@ class ExperimentConfig:
         object.__setattr__(self, "base_seed", int(self.base_seed))
 
 
+@functools.cache
 def _one_blas_thread() -> None:
-    """Run every OpenBLAS this process has loaded on one thread.
+    """Run every OpenBLAS this process has loaded on one thread, once per process.
 
     It initializes run_experiment's worker processes, which already take
     one core each: a second BLAS thread per worker only oversubscribes the
     cores, and its spin-waits made the pooled sweeps 4-6 times slower on a
-    2-core machine.  The CLI runs it once per process for the same reason
-    (see cli.main).  Fit bytes do not depend on the BLAS thread count, so
-    the report does not change.  Where the loaded libraries cannot be
-    listed (no /proc/self/maps), it does nothing.
+    2-core machine.  cli.main calls it before every command: the kernel's
+    BLAS calls are one block each, too small to gain from a second thread,
+    and beside busy cores a second thread's spin-waits made 100 fits at
+    n = 1e5 take 17-35 s instead of 1.5-2.7 s.  Fit bytes do not depend on
+    the BLAS thread count, so no output changes.  Where the loaded
+    libraries cannot be listed (no /proc/self/maps), it does nothing.
     """
     try:
         with open("/proc/self/maps") as fh:
@@ -432,8 +430,6 @@ def _run_replication(
         key = _problem(kind)
         if key is not None:
             first.setdefault(key, i)
-    # built before the helper reads it, so the threads never race to build it
-    data.zt
     with ThreadPoolExecutor(max_workers=1) as helper:
         designs = {
             key: helper.submit(_draw_design, config.estimators[i], data, config.base_seed, s, i)
@@ -499,7 +495,9 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> EmseReport:
 
     Failed replications (separation, one-class subsamples, singular Newton
     systems, fits that did not converge) are left out of an estimator's
-    errors and counted in its failed field.  Replications are embarrassingly
+    errors and counted in its failed field; an estimator with no success
+    gets NaN statistics (see EstimatorEmse), and AllReplicationsFailedError
+    is raised only when no estimator has one.  Replications are embarrassingly
     parallel; results are always reduced in replication order, so any
     threads value produces the same report bit for bit.
 
@@ -517,7 +515,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> EmseReport:
     A kind at its scheme's identity rate (see DesignKind.identity_rate)
     fits the full estimator's problem bit for bit: every row once, weight
     1, intercept shift 0.  So the full estimator and those kinds share one
-    problem.  Until a fit of it converges, each of them is fitted as the
+    problem, and no design is drawn for them.  Until a fit of it converges, each of them is fitted as the
     full estimator from the anchor (or cold, before the anchor exists);
     every later one takes that estimate without a fit.  Their entries
     thus equal the full-data entry exactly in every estimator order.  The
@@ -530,9 +528,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> EmseReport:
     ExperimentConfig); for an under-sampling design the helper also
     gathers the subset (see SampleDesign.select).  A fit takes its design
     when it reaches it, and a draw that raised raises there, so the report
-    is the same bit for bit as when the draws ran in line.  The dataset's
-    zt is built before the helper starts, and the helper is joined before
-    the replication returns or raises.  A replication of full-data
+    is the same bit for bit as when the draws ran in line.  The helper is
+    joined before the replication returns or raises.  A replication of full-data
     problems only starts no thread.
 
     The replications run in chunks, each inside one _lending block (see
@@ -558,26 +555,30 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> EmseReport:
 
     theta_t = config.design.true_coefficients()
     mean_n1 = float(np.mean([n1 for n1, _ in results]))
+    successes = [
+        [(n1, fits[i]) for n1, fits in results if fits[i] is not None]
+        for i in range(len(config.estimators))
+    ]
+    if not any(successes):
+        raise AllReplicationsFailedError(f"all {config.reps} replications failed for every estimator")
+    k = theta_t.as_vector().shape[0]
     entries = []
-    for i, kind in enumerate(config.estimators):
-        successes = [(n1, fits[i]) for n1, fits in results if fits[i] is not None]
-        failed = config.reps - len(successes)
-        if not successes:
-            raise AllReplicationsFailedError(
-                f"all {config.reps} replications failed for {kind.tag.value}"
-            )
-        total, comps, errors = _emse(np.stack([fit for _, fit in successes]), theta_t.as_vector())
-        scaled = np.sqrt([n1 for n1, _ in successes])[:, None] * errors
-        cov = np.cov(scaled.T) if len(successes) > 1 else np.full((errors.shape[1],) * 2, np.nan)
+    for kind, done in zip(config.estimators, successes):
+        total, comps, error_mean, cov = np.nan, np.full(k, np.nan), np.full(k, np.nan), np.full((k, k), np.nan)
+        if done:
+            total, comps, errors = _emse(np.stack([fit for _, fit in done]), theta_t.as_vector())
+            error_mean = errors.mean(axis=0)
+            if len(done) > 1:
+                cov = np.cov((np.sqrt([n1 for n1, _ in done])[:, None] * errors).T)
         entries.append(
             EstimatorEmse(
                 kind=kind,
                 emse_total=total,
                 emse_alpha=float(comps[0]),
                 emse_beta=tuple(float(c) for c in comps[1:]),
-                error_mean=tuple(errors.mean(axis=0).tolist()),
+                error_mean=tuple(error_mean.tolist()),
                 scaled_cov=tuple(map(tuple, cov.tolist())),
-                failed=failed,
+                failed=config.reps - len(done),
             )
         )
     return EmseReport(

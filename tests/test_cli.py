@@ -801,10 +801,11 @@ class TestCommandSurface:
 
 def test_commands_run_one_blas_thread_set_once_per_process(tmp_path):
     # A process started with two OpenBLAS threads runs two commands; each
-    # loaded library reports one thread after them, and the setter ran once.
+    # loaded library reports one thread after them, and the cached setter
+    # was called by both but ran once.
     script = (
         "import ctypes, os, sys\n"
-        "from rarelogit import cli\n"
+        "from rarelogit import cli, simulation\n"
         "def blas_threads():\n"
         "    with open('/proc/self/maps') as fh:\n"
         "        paths = {l.split()[-1] for l in fh if 'openblas' in l.lower() and '.so' in l}\n"
@@ -812,12 +813,12 @@ def test_commands_run_one_blas_thread_set_once_per_process(tmp_path):
         "             'scipy_openblas_get_num_threads')\n"
         "    libs = [ctypes.CDLL(path) for path in paths]\n"
         "    return max(getattr(lib, n)() for lib in libs for n in names if hasattr(lib, n))\n"
-        "calls, setter = [], cli._one_blas_thread\n"
-        "cli._one_blas_thread = lambda: (calls.append(1), setter())\n"
+        "assert cli._one_blas_thread is simulation._one_blas_thread\n"
         "before = blas_threads()\n"
         "argv = ['variance', '--kind', 'full', '--beta', '1', '--m', '100', '--out', os.devnull]\n"
         "codes = [cli.main(argv), cli.main(argv)]\n"
-        "print(before, blas_threads(), len(calls), *codes)\n"
+        "info = simulation._one_blas_thread.cache_info()\n"
+        "print(before, blas_threads(), info.misses, info.hits, *codes)\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
@@ -826,6 +827,6 @@ def test_commands_run_one_blas_thread_set_once_per_process(tmp_path):
         [sys.executable, "-c", script], env=env, capture_output=True, text=True,
         check=True, timeout=120, cwd=tmp_path,
     )
-    before, after, calls, *codes = run.stdout.split()[-5:]
+    before, after, runs, hits, *codes = run.stdout.split()[-6:]
     assert before == str(min(2, os.cpu_count() or 1))
-    assert (after, calls, codes) == ("1", "1", ["0", "0"])
+    assert (after, runs, hits, codes) == ("1", "1", "1", ["0", "0"])

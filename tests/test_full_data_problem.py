@@ -173,3 +173,22 @@ def test_no_identity_design_is_drawn_and_the_full_data_problem_is_fitted_until_i
         refits += len(problem) - 1
     # by default the first full-data fit converges; at 5 steps the cold ones fail
     assert (refits == 0) if max_iter == rl.SolverSettings().max_iter else (refits > 0)
+
+
+def test_estimators_that_fail_in_every_replication_leave_the_other_entries():
+    # the five kinds before over-bc at 5 are fitted cold, before any
+    # anchor, and at 5 steps never converge; the kinds after them start
+    # from the anchor and do
+    order = (10, 2, 7, 4, 5, 12, 0, 3, 6, 9, 11, 8, 1)
+    cfg = config(1, 2, order, SMALL_MAX_ITER)
+    report = rl.run_experiment(cfg)
+    assert [entry.failed for entry in report.entries] == [cfg.reps] * 5 + [0] * 8
+    for entry in report.entries:
+        stats = [entry.emse_total, entry.emse_alpha, *entry.emse_beta, *entry.error_mean,
+                 *np.ravel(entry.scaled_cov)]
+        assert len(stats) == 2 + 2 + 3 + 9
+        assert np.all(np.isnan(stats) if entry.failed else np.isfinite(stats))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulation, "_run_replication", replication_direct)
+        want = outcome(cfg)
+    assert outcome(cfg) == want

@@ -162,7 +162,7 @@ def test_subset_longer_than_its_parent_and_the_parent_after_it_fit_exactly():
 
 def test_subsets_gathered_on_the_design_helper_read_the_parent_zt(monkeypatch):
     # run_experiment gathers each under-sampled subset on its helper thread
-    # from the parent's zt, which the main thread built before the helper began
+    # from the parent's zt, which the dataset holds from when it was made
     gathered, checked = {}, []
     take, fit_estimator = Dataset.take, simulation.fit_estimator
 
@@ -211,7 +211,7 @@ def test_repeat_fit_in_a_block_allocates_no_length_n_temporary():
     data = rare_data(n, 1)
     w = np.random.default_rng(3).uniform(0.5, 1.5, n)
     with model._lending():
-        fit_mle(data, w)  # the first fit allocates zt and the lent buffer
+        fit_mle(data, w)  # the first fit allocates the lent buffer
         tracemalloc.start()
         try:
             fit_mle(data, w)
