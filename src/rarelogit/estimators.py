@@ -11,8 +11,9 @@ of a realized design and pi(y) its inclusion probability (see sampling):
     over-w    oversample   delta_i / pi(y_i)  none
     over-bc   oversample   delta_i            log(pi(0) / pi(1))
 
-An under-sampled fit runs on the selected rows only, gathered from the
-dataset's z' once per design; an over-sampled fit runs on every row with
+A realized design belongs to the dataset it was drawn on, and a fit reads
+the rows the design holds: an under-sampled fit the selected rows only,
+gathered when the design was drawn, an over-sampled fit every row with
 its count as a weight.  The shift follows convergence, so diagnostics describe
 the unshifted fit and the pair fitted on one design is deterministic.
 """
@@ -166,14 +167,15 @@ def fit_estimator(
 ) -> FitResult:
     """Fit the estimator named by kind on a realized design.
 
-    One weighted MLE over the rows the design uses, then the family's
-    exact intercept shift at the design's rate.  An under-sampling design
-    hands the solver its selected rows only, an over-sampling design every
-    row with its count (see SampleDesign.select).  The weights (the counts,
+    One weighted MLE over the design's data, then the family's exact
+    intercept shift at the design's rate.  An under-sampling design hands
+    the solver its selected rows only, each once, an over-sampling design
+    every row with its count (see SampleDesign).  The weights (the counts,
     divided by pi(y) for the weighted families) and the shift come from
     the design's kind, rate and counts and the labels.  A design of
-    another kind or rate than kind's raises ValueError.  The design is
-    ignored for the full-data estimator.
+    another kind or rate than kind's, or one drawn on another dataset than
+    data (even an equal copy), raises ValueError.  The design is ignored
+    for the full-data estimator.
 
     start, when given, is a point on the scale of the returned theta, such
     as another estimator's estimate on the same data.  The solver starts at
@@ -195,9 +197,10 @@ def fit_estimator(
             raise ValueError(
                 f"{kind.tag.value} at rate {kind.rate:g} was given a design drawn at {design.rate:g}"
             )
-        if design.n != data.n:
-            raise ValueError("design and dataset lengths differ")
-        used, weights = design.select(data)
+        if design.parent is not data:
+            raise ValueError(f"{kind.tag.value} was given a design drawn on another dataset")
+        used = design.data
+        weights = np.ones(used.n) if design.counts is None else design.counts
         if design.kind is DesignKind.UNDERSAMPLE and used.n0 == 0:
             raise NoControlsSelectedError(
                 f"no controls selected at pi0={design.rate:g} (n0={data.n0})"

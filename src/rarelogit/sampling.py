@@ -13,17 +13,19 @@ these rules:
     undersample  pi0        pi0 + (1 - pi0) y   log(pi0)
     oversample   lambda_n   1 + lambda_n y      -log(1 + lambda_n)
 
-A realized plan is its kind, its rate and what it uses of its parent
-dataset: the indices of the rows it selects (under-sampling) or one count
-per row (over-sampling).  A fit runs on those rows only.  The plan stores
-no pi(y): a fit computes pi(y) from the kind and rate, so the two cannot
-disagree.
+A realized plan is bound to the dataset it was drawn on, its parent.  It
+holds its kind, its rate and the rows its fits read: for under-sampling
+the selected rows, gathered from the parent once when the plan is made,
+and for over-sampling the parent itself with one count per row.  The
+plan stores no pi(y): a fit computes pi(y) from the kind and rate, so the
+two cannot disagree.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,31 +115,38 @@ class DesignKind(enum.Enum):
         return -math.log1p(rate)
 
 
+@dataclass(frozen=True, eq=False, init=False)
 class SampleDesign:
-    """A realized sampling plan: its kind, its rate and the rows it uses.
+    """A sampling plan realized on one dataset, its parent, and fixed from then on.
 
-    An under-sampling plan holds rows, the increasing indices of the rows
-    it selects; an over-sampling plan holds counts, the number of times
-    each row of the parent dataset enters the subsample (>= 1).  The
-    constructor takes either as indicators, one count per row of the
-    parent dataset (0/1 selection flags for under-sampling), and the
-    indicators property gives them back in that form.  A count's
-    conditional expectation given the data is pi(y_i), which
-    DesignKind.inclusion_weight computes from the kind and rate, and
+    It holds its kind, its rate, its parent and data, the rows its fits
+    read.  An under-sampling plan holds rows, the increasing indices of the
+    rows it selects, and its data are those rows, gathered from the
+    parent's zt once when the plan is made (the parent itself when every
+    row is selected).  An over-sampling plan holds counts, the number of
+    times each row of the parent enters the subsample (>= 1), and its data
+    is the parent.  SampleDesign(data, kind, rate, indicators) takes either
+    as indicators, one count per row of data (0/1 selection flags for
+    under-sampling), and the indicators property gives them back in that
+    form.  A count's conditional expectation given the data is pi(y_i),
+    which DesignKind.inclusion_weight computes from the kind and rate, and
     DesignKind.divide_by_inclusion divides a fit's counts by.
     """
 
+    parent: Dataset
+    data: Dataset
     kind: DesignKind
     rate: float
-    n: int
     rows: np.ndarray | None
     counts: np.ndarray | None
 
-    def __init__(self, kind: DesignKind, rate: float, indicators: np.ndarray) -> None:
+    def __init__(self, data: Dataset, kind: DesignKind, rate: float, indicators: np.ndarray) -> None:
         rate = kind.check_rate(rate)
         ind = np.asarray(indicators)
         if ind.ndim != 1:
             raise ValueError(f"indicators must be a vector, got ndim={ind.ndim}")
+        if ind.shape[0] != data.n:
+            raise ValueError(f"indicators must have one count per row: got {ind.shape[0]} for {data.n} rows")
         if ind.dtype.kind not in "biu" and not np.all(np.isfinite(ind) & (ind == np.floor(ind))):
             raise ValueError("indicators must be finite whole-number counts")
         ind = np.asarray(ind, dtype=np.int64)
@@ -149,55 +158,43 @@ class SampleDesign:
             raise ValueError("over-sampling counts must be >= 1")
         else:
             held = {"counts": ind}
-        self._hold(kind, rate, ind.shape[0], **held)
+        self._hold(data, kind, rate, **held)
 
     @classmethod
-    def _drawn(cls, kind: DesignKind, rate: float, n: int, **held: np.ndarray) -> "SampleDesign":
+    def _drawn(cls, parent: Dataset, kind: DesignKind, rate: float, **held: np.ndarray) -> "SampleDesign":
         """A design whose rows or counts are valid by construction: no checks."""
         design = cls.__new__(cls)
-        design._hold(kind, rate, n, **held)
+        design._hold(parent, kind, rate, **held)
         return design
 
-    def _hold(self, kind, rate, n, rows=None, counts=None) -> None:
-        self.kind, self.rate, self.n = kind, rate, n
-        self.rows, self.counts = rows, counts
-        self._selected: tuple[Dataset, Dataset] | None = None
+    def _hold(self, parent, kind, rate, rows=None, counts=None) -> None:
+        data = parent if rows is None or rows.shape[0] == parent.n else parent.take(rows)
+        for name, value in (("parent", parent), ("data", data), ("kind", kind), ("rate", rate),
+                            ("rows", rows), ("counts", counts)):
+            object.__setattr__(self, name, value)
 
     @property
     def indicators(self) -> np.ndarray:
         """The count of every row of the parent dataset, as int64."""
         if self.rows is None:
             return self.counts
-        ind = np.zeros(self.n, dtype=np.int64)
+        ind = np.zeros(self.parent.n, dtype=np.int64)
         ind[self.rows] = 1
         return ind
-
-    def select(self, data: Dataset) -> tuple[Dataset, np.ndarray]:
-        """The rows of data this plan uses, and each one's count.
-
-        An under-sampling plan's rows are gathered by Dataset.take once per
-        dataset, so the two fits on one design share them.  data must be
-        the design's parent (its length is not checked here).
-        """
-        if self.rows is None:
-            return data, self.counts
-        if self._selected is None or self._selected[0] is not data:
-            self._selected = (data, data.take(self.rows))
-        subset = self._selected[1]
-        return subset, np.ones(subset.n)
 
 
 def undersample(data: Dataset, pi0: float, rng: np.random.Generator) -> SampleDesign:
     """Keep all cases; keep each control independently with probability pi0.
 
     Row i is selected when delta_i = y_i + (1 - y_i) 1{u_i <= pi0} is one,
-    with u_i iid uniform(0, 1) drawn from rng.
+    with u_i iid uniform(0, 1) drawn from rng.  The selected rows are
+    gathered here, once, as the design's data (see SampleDesign).
     """
     kind = DesignKind.UNDERSAMPLE
     pi0 = kind.check_rate(pi0)
     u = rng.random(data.n)
     rows = np.flatnonzero((data.y == 1) | (u <= pi0))
-    return SampleDesign._drawn(kind, pi0, data.n, rows=rows)
+    return SampleDesign._drawn(data, kind, pi0, rows=rows)
 
 
 def oversample(data: Dataset, lambda_n: float, rng: np.random.Generator) -> SampleDesign:
@@ -211,7 +208,7 @@ def oversample(data: Dataset, lambda_n: float, rng: np.random.Generator) -> Samp
     counts = rng.poisson(lam=lambda_n, size=data.n)
     np.multiply(counts, data.y, out=counts)
     counts += 1
-    return SampleDesign._drawn(kind, lambda_n, data.n, counts=counts)
+    return SampleDesign._drawn(data, kind, lambda_n, counts=counts)
 
 
 def effective_sample_size(design: SampleDesign) -> int:

@@ -25,7 +25,7 @@ from scipy.special import expit
 
 from .estimators import EstimatorFamily, EstimatorKind, fit_estimator, realize_design
 from .model import Coefficients, Dataset, RareLogitError, SolverSettings, _augmented, _lending
-from .sampling import SampleDesign, substream
+from .sampling import substream
 
 __all__ = [
     "AllReplicationsFailedError",
@@ -432,7 +432,7 @@ def _run_replication(
             first.setdefault(key, i)
     with ThreadPoolExecutor(max_workers=1) as helper:
         designs = {
-            key: helper.submit(_draw_design, config.estimators[i], data, config.base_seed, s, i)
+            key: helper.submit(realize_design, config.estimators[i], data, substream(config.base_seed, s, i))
             for key, i in first.items()
         }
         return data.n1, _fit_estimators(config, data, designs)
@@ -448,13 +448,6 @@ def _problem(kind: EstimatorKind) -> tuple | None:
     if scheme is None or kind.rate == scheme.identity_rate:
         return None
     return scheme, kind.rate
-
-
-def _draw_design(kind: EstimatorKind, data: Dataset, base_seed: int, *path: int) -> SampleDesign:
-    """kind's design on substream (base_seed, *path), its subset already gathered."""
-    design = realize_design(kind, data, substream(base_seed, *path))
-    design.select(data)
-    return design
 
 
 def _fit_estimators(
@@ -525,12 +518,12 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> EmseReport:
 
     A replication that needs sampling designs draws them on one helper
     thread while its fits run, each once on its own substream (see
-    ExperimentConfig); for an under-sampling design the helper also
-    gathers the subset (see SampleDesign.select).  A fit takes its design
-    when it reaches it, and a draw that raised raises there, so the report
-    is the same bit for bit as when the draws ran in line.  The helper is
-    joined before the replication returns or raises.  A replication of full-data
-    problems only starts no thread.
+    ExperimentConfig); an under-sampling draw also gathers its subset
+    (see SampleDesign), which the fits on that design share.  A fit takes
+    its design when it reaches it, and a draw that raised raises there, so
+    the report is the same bit for bit as when the draws ran in line.  The
+    helper is joined before the replication returns or raises.  A
+    replication of full-data problems only starts no thread.
 
     The replications run in chunks, each inside one _lending block (see
     model._lending), so after a chunk's first replication no fit

@@ -102,10 +102,11 @@ def test_inverse_probability_weights_are_counts_over_pi(seed, n, case_rate):
     for kind, rates in ((DesignKind.UNDERSAMPLE, UNDER_RATES), (DesignKind.OVERSAMPLE, OVER_RATES)):
         for rate in rates:
             if kind is DesignKind.UNDERSAMPLE:
-                design = SampleDesign(kind, rate, rng.random(n) < 0.5)
+                design = SampleDesign(data, kind, rate, rng.random(n) < 0.5)
             else:
                 design = oversample(data, rate, rng)
-            used, selected = design.select(data)
+            used = design.data
+            selected = np.ones(used.n) if design.counts is None else design.counts
             drawn = rng.integers(1, 60, used.n)
             for counts in (selected, drawn, drawn * 0.75, drawn.astype(np.float32)):
                 kept = counts.copy()
@@ -144,7 +145,8 @@ def test_weighted_fits_are_fits_on_counts_over_pi(family, rate, seed):
     data = Dataset(x=x, y=y)
     kind = EstimatorKind(family, rate)
     design = estimators.realize_design(kind, data, rng)
-    used, counts = design.select(data)
+    used = design.data
+    counts = np.ones(used.n) if design.counts is None else design.counts
     direct = inclusion_divided_direct(design.kind.value, rate, counts, used.y)
     fresh = Dataset(x=used.x.copy(), y=used.y.copy())
     try:

@@ -68,8 +68,9 @@ class TestUnderSampling:
         dropped = design.indicators == 0
         perturbed[dropped] += 1e6
         data2 = Dataset(x=perturbed, y=data.y)
-        assert_fits_identical(under_weighted(data2, design), base_w)
-        assert_fits_identical(under_bias_corrected(data2, design), base_bc)
+        design2 = SampleDesign(data2, design.kind, design.rate, design.indicators)
+        assert_fits_identical(under_weighted(data2, design2), base_w)
+        assert_fits_identical(under_bias_corrected(data2, design2), base_bc)
 
     def test_bias_correction_is_exact_intercept_shift(self):
         data = simulated_data(4, n=500, rate=0.15)
@@ -99,6 +100,7 @@ class TestUnderSampling:
     def test_no_controls_selected(self):
         data = Dataset(x=np.zeros((4, 1)), y=[1, 1, 1, 0])
         design = SampleDesign(
+            data=data,
             kind=DesignKind.UNDERSAMPLE,
             rate=0.01,
             indicators=np.array([1, 1, 1, 0]),
@@ -128,6 +130,7 @@ class TestOverSampling:
         lam = 2.0
         y = np.array([1, 1, 0, 0])
         design = SampleDesign(
+            data=Dataset(x=np.zeros((4, 1)), y=y),
             kind=DesignKind.OVERSAMPLE,
             rate=lam,
             indicators=np.array([1, 4, 1, 1]),
@@ -194,7 +197,7 @@ class TestEstimatorKind:
         with pytest.raises(ValueError, match=f"{family.value} requires a realized design"):
             fit_estimator(kind, data)
         design = realize_design(kind, data.take(np.arange(300)), substream(3))
-        with pytest.raises(ValueError, match="design and dataset lengths differ"):
+        with pytest.raises(ValueError, match=f"{family.value} was given a design drawn on another dataset"):
             fit_estimator(kind, data, design)
 
     @pytest.mark.parametrize("family", [f for f in EstimatorFamily if f.design_kind is not None])

@@ -10,7 +10,7 @@ Regenerate the golden files, after a change that is meant to move them, with
 
     PYTHONPATH=src python tests/test_golden.py
 
-Given a directory, the script writes the 15 result files there instead, so
+Given a directory, the script writes the 17 result files there instead, so
 two commits' outputs compare byte for byte: run it in a checkout of each,
 each with its own directory, then `diff -r` the two directories.  Compare a
 change with its parent commit's output, not with tests/golden/: a file
@@ -45,6 +45,9 @@ CASES = {
     "fit_under_bc": FIT + ["--estimator", "under-bc", "--pi0", "0.3"],
     "fit_over_w": FIT + ["--estimator", "over-w", "--lambda", "2"],
     "fit_over_bc": FIT + ["--estimator", "over-bc", "--lambda", "2"],
+    # at the identity rate a design keeps every row once: the full fit's estimate
+    "fit_under_w_identity": FIT + ["--estimator", "under-w", "--pi0", "1"],
+    "fit_over_bc_identity": FIT + ["--estimator", "over-bc", "--lambda", "0"],
     # at d = 3 the plug-in's products round differently on the other memory order
     "fit_over_bc_d3": ["fit", "--data", "{data3}", "--alpha-t", "-3", "--seed", "5",
                        "--estimator", "over-bc", "--lambda", "2"],
@@ -117,6 +120,17 @@ def test_matches_golden(name, inputs, tmp_path):
     for i, (g_row, w_row) in enumerate(zip(got_rows, want_rows)):
         for g, w in zip(g_row, w_row):
             assert cells_match(g, w), f"{name} row {i}: {g_row} != {w_row}"
+
+
+@pytest.mark.parametrize("name", ["fit_under_w_identity", "fit_over_bc_identity"])
+def test_identity_rate_fits_the_full_estimate(name):
+    """pi0 = 1 and lambda_n = 0 keep every row once with weight 1 and shift 0."""
+
+    def estimate(case):
+        rows = csv.reader((GOLDEN / f"{case}.csv").read_text().splitlines()[1:])
+        return {f: v for f, v in rows if f == "alpha" or f.startswith("beta")}
+
+    assert estimate(name) == estimate("fit_full")
 
 
 if __name__ == "__main__":

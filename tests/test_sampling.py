@@ -170,6 +170,7 @@ class TestSampleDesignValidation:
     def test_undersample_indicator_range(self):
         with pytest.raises(ValueError):
             SampleDesign(
+                data=toy_data(1, 1),
                 kind=DesignKind.UNDERSAMPLE,
                 rate=0.5,
                 indicators=np.array([0, 2]),
@@ -178,6 +179,7 @@ class TestSampleDesignValidation:
     def test_oversample_minimum_count(self):
         with pytest.raises(ValueError):
             SampleDesign(
+                data=toy_data(1, 1),
                 kind=DesignKind.OVERSAMPLE,
                 rate=1.0,
                 indicators=np.array([0, 1]),
@@ -187,6 +189,7 @@ class TestSampleDesignValidation:
         # counts are one flat vector, one entry per row of the dataset
         with pytest.raises(ValueError, match="indicators must be a vector"):
             SampleDesign(
+                data=toy_data(1, 1),
                 kind=DesignKind.UNDERSAMPLE,
                 rate=0.5,
                 indicators=np.array([[1, 0], [1, 1]]),
@@ -206,7 +209,7 @@ class TestSampleDesignValidation:
         # turn nan into an arbitrary integer with a RuntimeWarning
         rate = 2.0 if kind is DesignKind.OVERSAMPLE else 0.5
         with pytest.raises(ValueError, match="indicators must be finite whole-number counts"):
-            SampleDesign(kind=kind, rate=rate, indicators=np.array(counts))
+            SampleDesign(data=toy_data(1, 2), kind=kind, rate=rate, indicators=np.array(counts))
 
 
 class TestDesignKindRules:

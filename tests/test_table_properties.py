@@ -150,6 +150,7 @@ class TestEstimatorTable:
             (OVER, oversample(data, lam, substream(seed))),
         ):
             design_p = SampleDesign(
+                data=permuted,
                 kind=design.kind,
                 rate=design.rate,
                 indicators=design.indicators[perm],
@@ -175,7 +176,7 @@ class TestCompactDesign:
             (UNDER, undersample(data, pi0, substream(seed))),
             (OVER, oversample(data, lam, substream(seed))),
         ):
-            built = SampleDesign(kind=drawn.kind, rate=drawn.rate, indicators=drawn.indicators)
+            built = SampleDesign(data=data, kind=drawn.kind, rate=drawn.rate, indicators=drawn.indicators)
             assert drawn.indicators.dtype == built.indicators.dtype == np.int64
             assert_array_equal(drawn.indicators, built.indicators)
             for held in ("rows", "counts"):

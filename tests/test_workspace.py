@@ -174,7 +174,7 @@ def test_subsets_gathered_on_the_design_helper_read_the_parent_zt(monkeypatch):
     def checking_fit(kind, data, design, *args, **kwargs):
         if design is None:
             return fit_estimator(kind, data, design, *args, **kwargs)
-        sub, _ = design.select(data)
+        sub = design.data
         thread, parent_zt = gathered[id(sub)]
         checked.append((thread != threading.get_ident(), parent_zt is data.zt))
         return fit_estimator(kind, data, design, *args, **kwargs)
