@@ -19,8 +19,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.special import expit
 
 __all__ = [
     "AllOneClassError",
@@ -279,8 +277,9 @@ def _check_theta(data: Dataset, theta: Coefficients) -> np.ndarray:
 def predict_prob(theta: Coefficients, x_row: np.ndarray) -> float:
     """Event probability exp(a + x'b) / (1 + exp(a + x'b)) for one row.
 
-    Evaluated through the symmetric sigmoid, so linear predictors with
-    magnitude up to several hundred do not overflow.
+    Evaluated as 1 / (1 + exp(-(a + x'b))) (see _expit), so a linear
+    predictor of any finite size gives a probability in [0, 1] without a
+    warning.
     """
     x_row = np.atleast_1d(np.asarray(x_row, dtype=np.float64))
     if x_row.shape != theta.beta.shape:
@@ -289,7 +288,21 @@ def predict_prob(theta: Coefficients, x_row: np.ndarray) -> float:
         )
     if not np.all(np.isfinite(x_row)):
         raise ValueError("x_row must be finite")
-    return float(expit(theta.alpha + x_row @ theta.beta))
+    return float(_expit(np.array(theta.alpha + x_row @ theta.beta)))
+
+
+def _expit(p: np.ndarray) -> np.ndarray:
+    """The sigmoid 1 / (1 + exp(-p)) of a float64 array, in place; returns p.
+
+    This is scipy.special.expit's formula; numpy's exp can differ from the
+    C library's in the last bit, so a value can differ from expit's by up to
+    4 ulps.  Below p = -709.78, exp(-p) overflows to inf and the result
+    is 0.0, as expit's is; that overflow is not reported.
+    """
+    with np.errstate(over="ignore"):
+        np.exp(np.negative(p, out=p), out=p)
+    p += 1.0
+    return np.divide(1.0, p, out=p)
 
 
 # The kernel buffer lent to this thread, as buf, inside a _lending block only.
@@ -441,16 +454,20 @@ def hessian(data: Dataset, weights: np.ndarray, theta: Coefficients) -> np.ndarr
 
 
 def _solve_newton(neg_hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Solve neg_hess @ step = grad via Cholesky, with one ridge retry."""
+    """Solve neg_hess @ step = grad, with one ridge retry.
+
+    A Cholesky factorization only tests that the system is positive
+    definite; np.linalg.solve then solves it.  A system that is not is
+    retried once with a ridge of RIDGE_SCALE times the mean curvature.
+    """
     if not (np.all(np.isfinite(neg_hess)) and np.all(np.isfinite(grad))):
         raise SingularHessianError("Newton system overflowed: nonfinite curvature or gradient")
     system = neg_hess
     for _ in range(2):
         try:
-            factor = scipy.linalg.cho_factor(system, check_finite=False)
-            return scipy.linalg.cho_solve(factor, grad, check_finite=False)
-        except scipy.linalg.LinAlgError:
-            # retry once with a ridge of RIDGE_SCALE times the mean curvature
+            np.linalg.cholesky(system)  # raises unless system is positive definite
+            return np.linalg.solve(system, grad)
+        except np.linalg.LinAlgError:
             k = neg_hess.shape[0]
             system = neg_hess + RIDGE_SCALE * np.trace(neg_hess) / k * np.eye(k)
     raise SingularHessianError(

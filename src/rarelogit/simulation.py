@@ -20,11 +20,9 @@ from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import expit
 
 from .estimators import EstimatorFamily, EstimatorKind, fit_estimator, realize_design
-from .model import Coefficients, Dataset, RareLogitError, SolverSettings, _augmented, _lending
+from .model import Coefficients, Dataset, RareLogitError, SolverSettings, _augmented, _expit, _lending
 from .sampling import substream
 
 __all__ = [
@@ -200,14 +198,21 @@ def generate_marginal(
     x = law.sample(n, rng)
     p = x @ theta_t.beta
     p += theta_t.alpha
-    expit(p, out=p)
+    _expit(p)
     y = (rng.random(n) < p).astype(np.int64)
     # x is finite by NORMAL_DRAW_BOUND and y 0/1 by construction: nothing to check
     return Dataset._drawn(_augmented(x), y)
 
 
 def _quadrature_event_rate(alpha: float, mean: float, sd: float) -> float:
-    """E expit(alpha + t) for t ~ N(mean, sd^2), by adaptive quadrature."""
+    """E expit(alpha + t) for t ~ N(mean, sd^2), by adaptive quadrature.
+
+    scipy is imported here, on the first calibration, and not with the
+    package: no fit, draw or CLI command needs it.
+    """
+    from scipy.integrate import quad
+    from scipy.special import expit
+
     inv_sqrt2pi = 1.0 / math.sqrt(2.0 * math.pi)
 
     def integrand(t: float) -> float:
@@ -392,6 +397,11 @@ def _one_blas_thread() -> None:
     n = 1e5 take 17-35 s instead of 1.5-2.7 s.  Fit bytes do not depend on
     the BLAS thread count, so no output changes.  Where the loaded
     libraries cannot be listed (no /proc/self/maps), it does nothing.
+
+    The package imports no scipy, so this sets numpy's OpenBLAS only,
+    which carries every BLAS call of the kernel and the plug-in.  A scipy
+    that calibrate_intercept loads later keeps its own default thread
+    count; its quad makes no BLAS calls.
     """
     try:
         with open("/proc/self/maps") as fh:

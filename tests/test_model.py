@@ -60,6 +60,21 @@ class TestPredictProb:
             p = predict_prob(theta, [eta])
             assert np.isfinite(p)
             assert 0.0 <= p <= 1.0
+        # exp(-eta) overflows for eta < -709.78; scipy's expit returns 0.0
+        # there without a warning, and a RuntimeWarning is an error here
+        for eta in (710.0, 800.0, 1e4):
+            assert predict_prob(theta, [eta]) == 1.0
+            assert predict_prob(theta, [-eta]) == 0.0
+
+    def test_sigmoid_matches_scipy_expit_within_4_ulps(self):
+        from scipy.special import expit
+
+        eta = np.linspace(-745.0, 745.0, 2_000_001)
+        got = rarelogit.model._expit(eta.copy())
+        want = expit(eta)
+        # both are nonnegative, so their bit patterns are ordered like them
+        ulps = np.abs(got.view(np.int64) - want.view(np.int64))
+        assert ulps.max() <= 4
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
