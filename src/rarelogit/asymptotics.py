@@ -417,13 +417,19 @@ def loewner_ge(a: np.ndarray, b: np.ndarray, tol: float | None = None) -> bool:
     """True iff a - b is positive semidefinite within tol.
 
     The default tolerance is 1e-8 relative to the larger trace of the two
-    matrices (falling back to 1e-8 absolute when both traces vanish).
+    matrices (falling back to 1e-8 absolute when both traces vanish).  A
+    matrix with a cell that is not finite, or a tol that is not, raises
+    ValueError.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("matrices must be finite")
     if tol is None:
         scale = max(abs(float(np.trace(a))), abs(float(np.trace(b))))
         tol = LOEWNER_RTOL * (scale if scale > 0 else 1.0)
+    elif not np.isfinite(tol):
+        raise ValueError("tol must be finite")
     _check_symmetric_pair(a, b, tol)
     return bool(np.min(np.linalg.eigvalsh(a - b)) >= -tol)
 
@@ -444,6 +450,8 @@ def weighted_moment_inequality_check(vs: np.ndarray, hs: np.ndarray, tol: float 
     vs = np.asarray(vs, dtype=np.float64)
     if vs.ndim == 1:
         vs = vs[:, None]
+    if not np.all(np.isfinite(vs)):
+        raise ValueError("vs must be finite")
     hs = np.asarray(hs, dtype=np.float64)
     if hs.shape != (vs.shape[0],):
         raise ValueError("hs must be one scalar per row of vs")

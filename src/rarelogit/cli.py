@@ -163,16 +163,26 @@ def _read_table(path: str, first_column: str | None) -> np.ndarray:
         except ValueError as err:
             raise _parse_error(path, err) from None
     if not np.isfinite(table).all():
-        row = int(np.argmin(np.isfinite(table).all(axis=1)))
-        k, _ = next(itertools.islice(_data_lines(path), row, None))
-        raise ValueError(f"{path}: line {k}: cells must be finite")
+        raise _row_error(path, int(np.argmin(np.isfinite(table).all(axis=1))), "cells must be finite")
     return table
 
 
+def _row_error(path: str, row: int, reason: str) -> ValueError:
+    """reason, naming the file and the line of its data row numbered row (from 0)."""
+    k, _ = next(itertools.islice(_data_lines(path), row, None))
+    return ValueError(f"{path}: line {k}: {reason}")
+
+
 def load_dataset(path: str) -> Dataset:
-    """Read a dataset CSV (header y,x1..xd) back into a Dataset."""
+    """Read a dataset CSV (header y,x1..xd) back into a Dataset.
+
+    A label other than 0 or 1 raises ValueError naming the file and the line.
+    """
     table = _read_table(path, "y")
-    return Dataset(x=table[:, 1:], y=table[:, 0])
+    y = table[:, 0]
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise _row_error(path, int(np.argmin((y == 0.0) | (y == 1.0))), "labels must be 0 or 1")
+    return Dataset(x=table[:, 1:], y=y)
 
 
 def load_covariates(path: str) -> np.ndarray:

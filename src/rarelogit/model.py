@@ -37,7 +37,6 @@ __all__ = [
 ]
 
 MAX_HALVINGS = 30
-RIDGE_SCALE = 1e-10
 # Slack for step acceptance: near the optimum the true Newton gain drops
 # below the float resolution of the objective, so "does not decrease" must
 # be read up to rounding noise or backtracking stalls before grad <= tol.
@@ -72,7 +71,7 @@ class SeparationError(RareLogitError):
 
 
 class SingularHessianError(RareLogitError):
-    """The Newton system is unsolvable even after the ridge fallback."""
+    """The Newton system is singular (the coefficients are not identified) or overflowed."""
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -454,26 +453,22 @@ def hessian(data: Dataset, weights: np.ndarray, theta: Coefficients) -> np.ndarr
 
 
 def _solve_newton(neg_hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Solve neg_hess @ step = grad, with one ridge retry.
+    """Solve neg_hess @ step = grad.
 
     A Cholesky factorization only tests that the system is positive
-    definite; np.linalg.solve then solves it.  A system that is not is
-    retried once with a ridge of RIDGE_SCALE times the mean curvature.
+    definite; np.linalg.solve then solves it.  A system that is not raises
+    SingularHessianError: the coefficients are not identified (see fit_mle).
     """
     if not (np.all(np.isfinite(neg_hess)) and np.all(np.isfinite(grad))):
         raise SingularHessianError("Newton system overflowed: nonfinite curvature or gradient")
-    system = neg_hess
-    for _ in range(2):
-        try:
-            np.linalg.cholesky(system)  # raises unless system is positive definite
-            return np.linalg.solve(system, grad)
-        except np.linalg.LinAlgError:
-            k = neg_hess.shape[0]
-            system = neg_hess + RIDGE_SCALE * np.trace(neg_hess) / k * np.eye(k)
-    raise SingularHessianError(
-        "Newton system not solvable with a nonzero gradient "
-        f"(max|grad| = {np.max(np.abs(grad)):.3e})"
-    )
+    try:
+        np.linalg.cholesky(neg_hess)  # raises unless neg_hess is positive definite
+        return np.linalg.solve(neg_hess, grad)
+    except np.linalg.LinAlgError:
+        raise SingularHessianError(
+            "Newton system singular: the coefficients are not identified "
+            f"(max|grad| = {np.max(np.abs(grad)):.3e})"
+        ) from None
 
 
 def fit_mle(
@@ -521,7 +516,9 @@ def fit_mle(
     ValueError : malformed weights or init.
     AllOneClassError : no positively weighted case or control.
     SeparationError : iterates escaped past divergence_bound.
-    SingularHessianError : Newton system unsolvable at a non-stationary point.
+    SingularHessianError : a non-identified design (collinear or constant
+        covariates, or fewer positively weighted rows than coefficients), or
+        a Newton system that overflowed.
     """
     w, lo, hi = _check_weights(data, weights)
     if lo == 0.0:

@@ -244,21 +244,28 @@ def calibrate_intercept(
     precision * target_rate of the target.  For the independent Gaussian
     law, beta'x is exactly N(beta'mu, sum_j beta_j^2 sd_j^2), so the rate
     is computed by adaptive quadrature over that normal, for any
-    dimension.  With an all-zero slope the closed form log(rho/(1-rho)) is
-    returned directly.
+    dimension.  When the sd of beta'x is 0 in float64 (an all-zero slope,
+    or one so small that its square underflows), beta'x is its mean and
+    the closed form log(rho/(1-rho)) - beta'mu is returned directly.  A
+    beta that is not finite, or whose beta'x has a mean or sd that
+    overflows float64, raises ValueError before any integration.
     """
     beta = np.atleast_1d(np.asarray(beta, dtype=np.float64))
     if beta.shape != (law.dim,):
         raise ValueError("beta and covariate law dimensions differ")
+    if not np.all(np.isfinite(beta)):
+        raise ValueError("beta must be finite")
     if not (0.0 < target_rate < 1.0):
         raise ValueError("target_rate must be in (0, 1)")
     if not precision > 0:
         raise ValueError("precision must be positive")
-    if np.all(beta == 0.0):
-        return math.log(target_rate / (1.0 - target_rate))
-
-    mean = float(beta @ np.asarray(law.means))
-    sd = float(np.sqrt(np.sum((beta * np.asarray(law.sds)) ** 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(beta @ np.asarray(law.means))
+        sd = float(np.sqrt(np.sum((beta * np.asarray(law.sds)) ** 2)))
+    if not (math.isfinite(mean) and math.isfinite(sd)):
+        raise ValueError(f"beta'x has mean {mean:g} and sd {sd:g}: not finite in float64")
+    if sd == 0.0:
+        return math.log(target_rate / (1.0 - target_rate)) - mean
 
     def event_rate(alpha: float) -> float:
         return _quadrature_event_rate(alpha, mean, sd)

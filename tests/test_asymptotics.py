@@ -182,8 +182,21 @@ class TestMomentMatrix:
                 ValueError,
                 "hs must be one scalar per row of vs",
             ),
+            # a nan compares as not >= -tol and an inf makes the trace tolerance inf
+            (lambda: loewner_ge([[np.nan]], [[1.0]]), ValueError, "matrices must be finite"),
+            (lambda: loewner_ge([[np.inf]], [[1.0]]), ValueError, "matrices must be finite"),
+            (lambda: loewner_ge([[1.0]], [[-np.inf]], tol=1e-8), ValueError, "matrices must be finite"),
+            (lambda: loewner_ge([[1.0]], [[0.0]], tol=np.nan), ValueError, "tol must be finite"),
+            (
+                lambda: weighted_moment_inequality_check([1.0, np.inf, 2.0], np.ones(3)),
+                ValueError,
+                "vs must be finite",
+            ),
         ],
-        ids=["3-d-sample", "beta-length", "transform", "overflowing-mean", "missing-constant", "hs-length"],
+        ids=[
+            "3-d-sample", "beta-length", "transform", "overflowing-mean", "missing-constant", "hs-length",
+            "loewner-nan", "loewner-inf", "loewner-inf-given-tol", "loewner-nan-tol", "vs-inf",
+        ],
     )
     def test_malformed_arguments_rejected(self, call, error, message):
         with warnings.catch_warnings():

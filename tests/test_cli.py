@@ -203,6 +203,16 @@ class TestDatasetIO:
         assert run_cli(argv + ["--out", tmp_path / "o.csv"]) == 2
         assert f"{path}: {reason}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("label", ["2", "0.5"])
+    def test_a_bad_label_names_the_file_and_line(self, tmp_path, capsys, label):
+        path = tmp_path / "d.csv"
+        path.write_text(f"y,x1\n1,0.5\n\n{label},0.3\n0,2\n")
+        message = f"{path}: line 4: labels must be 0 or 1"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_dataset(str(path))
+        assert run_cli(["fit", "--data", path, "--estimator", "full", "--out", tmp_path / "o.csv"]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"ValueError: {message}"]
+
     def test_digit_group_underscores_rejected(self, tmp_path):
         # Python's float("1_0") is 10.0; numpy's parser takes no digit groups
         path = tmp_path / "d.csv"
@@ -311,6 +321,20 @@ class TestFitCommand:
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("SingularHessianError: ")
+
+    def test_collinear_covariates_exit_3_and_write_nothing(self, tmp_path, capsys):
+        # only beta1 + 2 beta2 is identified, so no split of it is the estimate
+        rng = substream(11)
+        x1 = rng.standard_normal(500)
+        y = (rng.random(500) < 0.2).astype(int)
+        path = tmp_path / "collinear.csv"
+        save_dataset(str(path), Dataset(x=np.column_stack([x1, 2.0 * x1]), y=y))
+        out = tmp_path / "o.csv"
+        code = run_cli(["fit", "--data", path, "--estimator", "full", "--out", out])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("SingularHessianError: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "extra, message",

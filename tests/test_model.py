@@ -13,15 +13,20 @@ from rarelogit import (
     AllOneClassError,
     Coefficients,
     Dataset,
+    EstimatorFamily,
+    EstimatorKind,
     RareLogitError,
     SeparationError,
     SingularHessianError,
     SolverSettings,
+    fit_estimator,
     fit_mle,
     gradient,
     hessian,
     log_likelihood,
     predict_prob,
+    realize_design,
+    substream,
 )
 
 from _oracles import fd_gradient, fd_jacobian, grid_max_loglik, loglik_direct
@@ -334,6 +339,53 @@ class TestFitMle:
         data, w, _ = random_instance(np.random.default_rng(8), n=40, d=1)
         with pytest.raises(ValueError, match="divergence_bound must be positive"):
             fit_mle(data, w, settings=SolverSettings(divergence_bound=bound))
+
+
+def non_identified_designs():
+    """Rare-event labels on x1, beside second columns that add no information.
+
+    Each design's columns are collinear with the intercept's and x1's, so
+    the log-likelihood is flat along one direction and its maximizer is a
+    line, not a point.
+    """
+    n = 2000
+    rng = np.random.default_rng(0)
+    x1 = rng.standard_normal(n)
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(x1 - 2.0)))).astype(int)
+    designs = {f"x2={c}": np.full(n, c) for c in (0.1, 0.3, 2.0, 3.0, 7.0, 1000.0)}
+    designs |= {f"x2={a:.4g}*x1": a * x1 for a in (1.0, 0.3, -2.5, 1000.0, 1.0 / 3.0)}
+    designs["x2=x1+1"] = x1 + 1.0
+    x2 = rng.standard_normal(n)
+    designs = {name: np.column_stack([x1, col]) for name, col in designs.items()}
+    designs["x3=x1-x2"] = np.column_stack([x1, x2, x1 - x2])
+    return {name: Dataset(x=x, y=y) for name, x in designs.items()}
+
+
+NON_IDENTIFIED = non_identified_designs()
+
+
+class TestNonIdentified:
+    """A design whose coefficients are not identified has no MLE to report."""
+
+    @pytest.mark.parametrize("name", NON_IDENTIFIED)
+    def test_collinear_or_constant_columns_raise(self, name):
+        data = NON_IDENTIFIED[name]
+        with pytest.raises(SingularHessianError, match="not identified"):
+            fit_mle(data, np.ones(data.n))
+
+    def test_a_sampled_estimator_on_collinear_columns_raises(self):
+        data = NON_IDENTIFIED["x2=1*x1"]
+        kind = EstimatorKind(EstimatorFamily.UNDER_WEIGHTED, 0.3)
+        design = realize_design(kind, data, substream(0))
+        with pytest.raises(SingularHessianError):
+            fit_estimator(kind, data, design)
+
+    def test_fewer_rows_than_coefficients_raise(self):
+        # 3 rows cannot pin 4 coefficients: the fit names the singular
+        # Newton system, not the separation any 3 rows in general position show
+        x = np.random.default_rng(0).standard_normal((3, 3))
+        with pytest.raises(SingularHessianError):
+            fit_mle(Dataset(x=x, y=[1, 0, 0]), np.ones(3))
 
 
 class TestDomainTypes:

@@ -19,6 +19,7 @@ from rarelogit import (
     Dataset,
     GaussianLaw,
     RareLogitError,
+    SolverSettings,
     fit_mle,
     generate_marginal,
     model,
@@ -86,6 +87,35 @@ def test_separated_pilot_falls_back_to_the_log_odds_start():
     fit = fit_mle(data, w)
     assert fit.converged and fit.pilot_iterations == 0
     assert fingerprint(fit) == fingerprint(fit_mle(data, w, init=log_odds_start(data, w)))
+
+
+def test_singular_pilot_falls_back_and_the_full_fit_converges():
+    # x2 is +-1 on 400 controls the pilot leaves out and 0 elsewhere, so the
+    # full data identify its slope but the pilot's x2 column is all zero
+    n = 100_000
+    rng = np.random.default_rng(5)
+    x1 = rng.standard_normal(n)
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(x1 - 6.0)))).astype(np.int64)
+    controls = np.flatnonzero(y == 0)
+    left_out = controls[np.arange(controls.size) % model.PILOT_STRIDE != 0]
+    marked = rng.choice(left_out, 400, replace=False)
+    x2 = np.zeros(n)
+    x2[marked[:200]], x2[marked[200:]] = 1.0, -1.0
+    data = Dataset(x=np.column_stack([x1, x2]), y=y)
+    w = np.ones(n)
+    assert n >= model.PILOT_MIN_ROWS and data.n0 >= model.PILOT_MIN_RATIO * data.n1
+
+    fit = fit_mle(data, w)
+    assert fit.converged and fit.pilot_iterations == 0
+    assert fingerprint(fit) == fingerprint(fit_mle(data, w, init=log_odds_start(data, w)))
+    # want is this optimum as reached from another start, the pilot
+    # estimate moved to the full data with x2's slope left at zero.  Each
+    # converged estimate lies within twice ||H^-1||_inf tol of the optimum
+    # (see slack() in tests/test_equivalences.py), plus a few ulps.
+    want = np.array([-6.1609432793725825, 1.1425019716136415, 0.06475152357278081])
+    slack = 2.0 * np.abs(np.linalg.inv(fit.neg_hessian)).sum(axis=1).max() * SolverSettings().tol
+    bound = 2.0 * slack + 4 * np.finfo(float).eps * np.abs(want).max()
+    assert np.abs(fit.theta.as_vector() - want).max() <= bound
 
 
 @functools.cache

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -188,9 +189,11 @@ class TestGenerateMarginal:
 
 
 class TestCalibrateIntercept:
-    def test_zero_slope_closed_form(self):
+    @pytest.mark.parametrize("beta", [0.0, 1e-200, -1e-170])
+    def test_zero_slope_closed_form(self, beta):
+        # the square of a slope below about 1.6e-162 underflows to a zero sd
         law = GaussianLaw.standard(1)
-        alpha = calibrate_intercept([0.0], law, 0.02)
+        alpha = calibrate_intercept([beta], law, 0.02)
         assert alpha == math.log(0.02 / 0.98)
 
     def test_round_trip_grid(self):
@@ -216,6 +219,24 @@ class TestCalibrateIntercept:
     def test_no_bracket(self):
         with pytest.raises(CalibrationError):
             calibrate_intercept([1.0], GaussianLaw.standard(1), 1e-30)
+
+    @pytest.mark.parametrize(
+        "beta, mean, message",
+        [
+            (math.inf, 0.0, "beta must be finite"),
+            (-math.inf, 0.0, "beta must be finite"),
+            (math.nan, 0.0, "beta must be finite"),
+            (1e200, 0.0, "beta'x has mean 0 and sd inf"),
+            (1e308, 0.0, "beta'x has mean 0 and sd inf"),
+            (1e150, 1e300, "beta'x has mean inf and sd 1e+150"),
+        ],
+    )
+    def test_slopes_that_cannot_be_integrated_are_rejected_without_a_warning(self, beta, mean, message):
+        law = GaussianLaw(means=(mean,), sds=(1.0,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                calibrate_intercept([beta], law, 0.02)
 
     @pytest.mark.parametrize("rate", [1e-6, 1e-8, 1e-12])
     def test_precision_is_relative_to_the_rate(self, rate):
