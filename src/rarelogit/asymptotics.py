@@ -147,15 +147,14 @@ def _plug_in(
     beta: np.ndarray,
     transforms: tuple[MomentTransform, ...],
     k: float,
-) -> tuple[float, list[np.ndarray | None]]:
+) -> tuple[float, list[np.ndarray]]:
     """One checked pass over a covariate sample: E(e), and E(w(e, k) z z') per transform.
 
     Each row block runs the exponent guard, e = exp(beta'x) and z = (1, x')',
     and adds its sums of e and of (z w)' z to running totals, which are
     divided by m once at the end; so memory grows with the block, not with
     m.  A sample of one block gives the one-shot averages bit for bit.
-    E(e) overflowing raises here; a moment whose integrand overflows comes
-    back as None, for _finite to raise where the moment is used.
+    E(e) or any moment whose integrand overflows raises OverflowError.
     """
     sample = xs if isinstance(xs, CovariateBlocks) else CovariateBlocks.of(xs)
     m, d = sample.m, sample.d
@@ -202,7 +201,10 @@ def _plug_in(
             power = _INTEGRANDS[transform][1]
             # 1 + k e is largest where e is; a numpy float's ** overflows to inf
             peak = (1.0 + k * e_max) ** power if power else 1.0
-            moments.append(_symmetric(total / m) if np.isfinite(peak) else None)
+            moment = _symmetric(total / m)
+            if not (np.isfinite(peak) and np.all(np.isfinite(moment))):
+                raise OverflowError("nonfinite integrand in the plug-in average")
+            moments.append(moment)
     return e_mean, moments
 
 
@@ -219,13 +221,6 @@ def _guard_failed(blocks: Iterable[np.ndarray], beta: np.ndarray) -> NoReturn:
         f"exponent magnitude exceeds {EXPONENT_GUARD:g}; the plug-in "
         "average would overflow"
     )
-
-
-def _finite(moment: np.ndarray | None) -> np.ndarray:
-    """A moment matrix from _plug_in, or OverflowError where its integrand overflowed."""
-    if moment is None or not np.all(np.isfinite(moment)):
-        raise OverflowError("nonfinite integrand in the plug-in average")
-    return moment
 
 
 # transform -> (its weight w(e, k) on z z', the power of 1 + k e in w)
@@ -264,7 +259,7 @@ def moment_matrix(
         raise ValueError(f"unknown transform {transform!r}")
     constant = _check_constant(constant, "constant")
     e_mean, (moment,) = _plug_in(xs, beta, (transform,), constant)
-    return _finite(moment), e_mean
+    return moment, e_mean
 
 
 def _sym_inverse(mat: np.ndarray) -> np.ndarray:
@@ -331,11 +326,11 @@ def covariance(
     # no meat, or k = 0, means M = B: the pass then weighs the bread alone
     transforms = (row.bread,) if row.meat is None or k == 0.0 else (row.bread, row.meat)
     e_mean, moments = _plug_in(xs, beta, transforms, k)
-    bread_inv = _sym_inverse(_finite(moments[0]))
+    bread_inv = _sym_inverse(moments[0])
     if len(moments) == 1:
         v = e_mean * bread_inv
     else:
-        v = e_mean * _symmetric(bread_inv @ _finite(moments[1]) @ bread_inv)
+        v = e_mean * _symmetric(bread_inv @ moments[1] @ bread_inv)
     if family.design_kind is DesignKind.OVERSAMPLE:
         v = oversampling_variance_factor(used["lam"]) * v
     return VarianceReport(kind=family, v=v, **used)

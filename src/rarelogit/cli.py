@@ -139,21 +139,26 @@ def _parse_error(path: str, err: ValueError) -> ValueError:
     return ValueError(f"{path}: {err}")
 
 
-def _read_table(path: str, first_column: str | None) -> np.ndarray:
+def _read_table(path: str, labelled: bool) -> np.ndarray:
     """The data rows of a CSV with a header row, as an (n, columns) float array.
 
-    The header is read by csv.reader and must start with first_column when
-    that is given.  The rows go to one np.loadtxt call, which skips blank
-    lines and accepts quoted cells.  A cell that is not a float literal, a
-    ragged row or a cell that is not finite raises ValueError naming the
-    file and the line.
+    The header is read by csv.reader.  Its first cell must be the label
+    column y when labelled is true, and must not be when it is false.  The
+    rows go to one np.loadtxt call, which skips blank lines and accepts
+    quoted cells.  A cell that is not a float literal, a ragged row or a
+    cell that is not finite raises ValueError naming the file and the line.
     """
     with open(path) as fh:
         header = next(csv.reader(fh), None)
-        if first_column is not None and (not header or header[0].strip() != first_column):
-            raise ValueError(f"{path}: expected header starting with {first_column!r}")
+        first = header[0].strip() if header else None
+        if labelled and first != "y":
+            raise ValueError(f"{path}: expected header starting with 'y'")
         if not header:
             raise ValueError(f"{path}: empty file")
+        if not labelled and first == "y":
+            raise ValueError(
+                f"{path}: header starts with the label column y; --xs takes covariate columns only (x1..xd)"
+            )
         first_row = next((line for line in fh if line.strip()), None)
         if first_row is None:
             raise ValueError(f"{path}: no data rows")
@@ -178,7 +183,7 @@ def load_dataset(path: str) -> Dataset:
 
     A label other than 0 or 1 raises ValueError naming the file and the line.
     """
-    table = _read_table(path, "y")
+    table = _read_table(path, True)
     y = table[:, 0]
     if not np.all((y == 0.0) | (y == 1.0)):
         raise _row_error(path, int(np.argmin((y == 0.0) | (y == 1.0))), "labels must be 0 or 1")
@@ -186,8 +191,11 @@ def load_dataset(path: str) -> Dataset:
 
 
 def load_covariates(path: str) -> np.ndarray:
-    """Read a covariate sample CSV (header x1..xd, no label column)."""
-    return _read_table(path, None)
+    """Read a covariate sample CSV (header x1..xd, no label column).
+
+    A file whose header starts with y, as a dataset CSV's does, raises ValueError.
+    """
+    return _read_table(path, False)
 
 
 def _floats(text: str) -> list[float]:

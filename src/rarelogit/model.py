@@ -8,7 +8,8 @@ with nonnegative observation weights w_i and z_i = (1, x_i')'.  The solver
 is plain Newton ascent with backtracking step-halving, which is globally
 convergent on this concave objective whenever the maximizer exists.  A
 Newton step reads only the gradient and the Hessian, so the objective is
-computed only where the line search reads it (see fit_mle).
+computed only where the line search reads it: at the start and on the
+first step's candidates (see fit_mle).
 """
 
 from __future__ import annotations
@@ -220,12 +221,11 @@ class FitResult:
     grad_max_norm and neg_hessian refer to that rescaled objective.
     neg_hessian is the negative Hessian at theta, a symmetric positive
     semidefinite matrix.  evaluations counts the kernel's passes over the
-    rows, with or without the objective: the start point, plus every
-    line-search candidate, plus the objective of a gradient-accepted
-    iterate where a step from it fell back to halving.  So it is
-    iterations + 1 when no step was halved.  stop_reason says why the solver stopped:
-    "converged" (max|grad| <= tol), "max_iter" (max_iter steps taken) or
-    "stalled" (no halving of the Newton step improved the objective).
+    rows, with or without the objective: the start point plus every
+    line-search candidate, so it is iterations + 1 when no step was
+    halved.  stop_reason says why the solver stopped: "converged"
+    (max|grad| <= tol), "max_iter" (max_iter steps taken) or "stalled"
+    (no halving of the Newton step passed its rule; see fit_mle).
     iterations, evaluations and the rest describe this fit only;
     pilot_iterations counts the Newton steps of the pilot fit whose
     estimate started it (see fit_mle), and is 0 when no pilot ran or the
@@ -482,17 +482,15 @@ def fit_mle(
     Zero-weight rows are dropped up front (a caller that fits a subset of
     rows can pass Dataset.take of them instead); the remaining weights are
     rescaled by their maximum, so fits are exactly invariant under
-    positive rescaling of the weight vector.  Steps are halved (at most
-    30 times) until the objective does not decrease beyond its float
-    resolution, which keeps the sequence of accepted objective values
-    nondecreasing up to rounding noise.  After the first step, a full
-    Newton step is evaluated without the objective and accepted when the
-    slope along it at the candidate is at least -ACCEPT_SLACK_ULPS eps,
-    which on this concave objective implies the objective rule (the
-    curvature condition of Nocedal & Wright 2006, Numerical Optimization,
-    section 3.1).  A full step that fails it is judged on the objective
-    and halved as above, so the steps are those of the objective rule
-    alone.
+    positive rescaling of the weight vector.  A Newton step is halved (at
+    most 30 times) until it passes one rule.  A fit's first step must not
+    lower the objective beyond its float resolution, so from a pilot or a
+    given start a step past the maximum along it that still gains is kept
+    whole.  Every later candidate is evaluated without the objective and
+    must have a slope along the step taken of at least -ACCEPT_SLACK_ULPS
+    eps, which on this concave objective implies that the objective did
+    not fall (the curvature condition of Nocedal & Wright 2006, Numerical
+    Optimization, section 3.1).
 
     Parameters
     ----------
@@ -597,8 +595,7 @@ def _newton(
 ) -> FitResult:
     """Damped Newton ascent from theta on the kernel's problem (see fit_mle).
 
-    obj is None at an iterate the gradient rule accepted, until a step
-    from it falls back to the objective rule.
+    obj is the start's objective; only the first step's rule reads it.
     """
     obj, grad, neg_hess = kernel.evaluate(theta)
     evaluations = 1
@@ -612,31 +609,24 @@ def _newton(
             stop_reason = "max_iter"
             break
         step = _solve_newton(neg_hess, grad)
-
-        accepted = False
-        if iterations > 0:
-            cand = theta + step
-            cand_obj = None
-            cand_grad, cand_hess = kernel.derivatives(cand)
+        scale = 1.0
+        for _ in range(MAX_HALVINGS + 1):
+            cand = theta + scale * step
             evaluations += 1
-            accepted = _gradient_accepts(cand_grad, step)
-        if not accepted:
-            if obj is None:
-                obj = kernel.evaluate(theta)[0]
-                evaluations += 1
-            scale = 1.0
-            for _ in range(MAX_HALVINGS + 1):
-                cand = theta + scale * step
+            if iterations == 0:
                 cand_obj, cand_grad, cand_hess = kernel.evaluate(cand)
-                evaluations += 1
-                if _objective_accepts(cand_obj, obj):
-                    break
-                scale *= 0.5
+                accepted = _objective_accepts(cand_obj, obj)
             else:
-                # numerically stationary: no step improves the objective
-                stop_reason = "stalled"
+                cand_grad, cand_hess = kernel.derivatives(cand)
+                accepted = _gradient_accepts(cand_grad, scale * step)
+            if accepted:
                 break
-        theta, obj, grad, neg_hess = cand, cand_obj, cand_grad, cand_hess
+            scale *= 0.5
+        else:
+            # numerically stationary: no halving of the step passes its rule
+            stop_reason = "stalled"
+            break
+        theta, grad, neg_hess = cand, cand_grad, cand_hess
         iterations += 1
         if np.max(np.abs(theta)) > settings.divergence_bound:
             raise SeparationError(

@@ -175,19 +175,26 @@ def sandwich_direct(xs, beta, bread, meat=None, constant=0.0, factor=1.0):
     return factor * v
 
 
-def newton_objective_only(data, w, theta, solve, tol=1e-8, max_iter=100, slack_ulps=16.0, halvings=30):
-    """Damped Newton ascent that judges every candidate on the objective.
+def newton_one_rule(data, w, theta, solve, tol=1e-8, max_iter=100, slack_ulps=16.0, halvings=30, bound=30.0):
+    """Damped Newton ascent that judges a fit's first step on the objective and every later one on its slope.
 
-    The weights are rescaled by their maximum, as fit_mle rescales them;
-    the sums come from the package's public log_likelihood, gradient and
-    hessian, and solve(neg_hess, grad) gives each Newton step.  A step is
-    halved until the objective does not fall by more than slack_ulps eps
-    (1 + |objective|).  Returns (theta, iterations, stop_reason).
+    Zero-weight rows are dropped and the other weights rescaled by their
+    maximum, as fit_mle drops and rescales them; the sums come from the
+    package's public log_likelihood, gradient and hessian, and
+    solve(neg_hess, grad) gives each Newton step.  Each step is halved, at
+    most halvings times, until it passes its rule: the first must not
+    lower the objective by more than slack_ulps eps (1 + |objective|), and
+    every later one must leave a slope gradient(cand) @ (scale * step),
+    along the step taken, of at least -slack_ulps eps.  An iterate past
+    bound in max-norm raises SeparationError.  Returns (theta, iterations,
+    stop_reason).
     """
-    from rarelogit import Coefficients, gradient, hessian, log_likelihood
+    from rarelogit import Coefficients, Dataset, SeparationError, gradient, hessian, log_likelihood
 
-    w = w / w.max()
+    keep = w > 0
+    data, w = Dataset(x=data.x[keep], y=data.y[keep]), w[keep] / w[keep].max()
     point = Coefficients.from_vector
+    floor = -slack_ulps * np.finfo(float).eps
     obj = log_likelihood(data, w, point(theta))
     iterations = 0
     while True:
@@ -197,16 +204,23 @@ def newton_objective_only(data, w, theta, solve, tol=1e-8, max_iter=100, slack_u
         if iterations >= max_iter:
             return theta, iterations, "max_iter"
         step = solve(-hessian(data, w, point(theta)), grad)
-        floor = obj - slack_ulps * np.finfo(float).eps * (1.0 + abs(obj))
         for k in range(halvings + 1):
-            cand = theta + 0.5**k * step
-            cand_obj = log_likelihood(data, w, point(cand))
-            if np.isfinite(cand_obj) and cand_obj >= floor:
-                break
+            taken = 0.5**k * step
+            cand = theta + taken
+            if iterations == 0:
+                cand_obj = log_likelihood(data, w, point(cand))
+                if np.isfinite(cand_obj) and cand_obj >= obj + floor * (1.0 + abs(obj)):
+                    break
+            else:
+                slope = gradient(data, w, point(cand)) @ taken
+                if np.isfinite(slope) and slope >= floor:
+                    break
         else:
             return theta, iterations, "stalled"
-        theta, obj = cand, cand_obj
+        theta = cand
         iterations += 1
+        if np.max(np.abs(theta)) > bound:
+            raise SeparationError(f"oracle iterate past {bound}")
 
 
 def weighted_labels_direct(w, y, scale):

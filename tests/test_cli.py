@@ -180,6 +180,25 @@ class TestDatasetIO:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("label", ["y", " y "])
+    def test_covariate_loader_rejects_a_dataset_file(self, tmp_path, label):
+        path = tmp_path / "d.csv"
+        path.write_text(f"{label},x1\n1,0.5\n0,2\n")
+        message = f"{path}: header starts with the label column y; --xs takes covariate columns only (x1..xd)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_covariates(str(path))
+
+    def test_a_dataset_file_as_xs_exits_2(self, tmp_path, capsys):
+        # its labels would read as a first covariate, and --beta 1,1 fits two
+        rng = substream(5)
+        path = tmp_path / "data.csv"
+        save_dataset(str(path), Dataset(x=rng.standard_normal((5000, 1)), y=rng.random(5000) < 0.1))
+        out = tmp_path / "v.csv"
+        assert run_cli(["variance", "--kind", "full", "--beta", "1,1", "--xs", path, "--out", out]) == 2
+        message = f"{path}: header starts with the label column y; --xs takes covariate columns only (x1..xd)"
+        assert capsys.readouterr().err.splitlines() == [f"ValueError: {message}"]
+        assert not out.exists()
+
     # a bad row after a blank line, so the file's line number (4) is neither
     # numpy's 0-based nor its 1-based count of data rows
     BAD_ROWS = {

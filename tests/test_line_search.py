@@ -1,12 +1,14 @@
 """Property tests of the line search's two acceptance rules.
 
-A fit's first candidate and every halved one are judged on the objective;
-every later full step is evaluated without the objective and accepted on
-its gradient (see model._newton).  These tests pin that the derivative-only
-pass gives evaluate()'s gradient and Hessian bit for bit, that the gradient
-rule never accepts a step the objective rule rejects, and that a step the
-gradient rule rejects falls back to the objective rule with the same
-result as a solver that only ever used the objective.
+A fit's first step, halved or not, is judged on the objective; every
+later candidate is evaluated without the objective and judged on its
+slope along the step taken (see model._newton).  These tests pin that the
+derivative-only pass gives evaluate()'s gradient and Hessian bit for bit,
+that the slope rule never accepts a step the objective rule rejects, and
+that fit_mle takes the steps of _oracles.newton_one_rule, a solver with
+those two rules built on the public sums, bit for bit: on small random
+problems, and with forced overshooting steps and descent directions, which
+are halved on derivative-only passes alone.
 """
 
 import itertools
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 from rarelogit import Dataset, RareLogitError, fit_mle, model
 
-from _oracles import newton_objective_only
+from _oracles import newton_one_rule
 from test_model_properties import PROPERTY, dims, logistic_problem, random_problem, seeds
 
 SOLVE = model._solve_newton
@@ -125,21 +127,64 @@ def solve_after(normal, factor):
     return lambda neg_hess, grad: SOLVE(neg_hess, grad) * (1.0 if next(calls) < normal else factor)
 
 
-class TestForcedFallback:
-    """No sweep reaches the fallback, so these force it.
+def log_odds_start(data, w):
+    """fit_mle's start on the positively weighted rows, with the weights rescaled by their maximum."""
+    keep = w > 0
+    return model._log_odds_start(w[keep] / w[keep].max(), data.y[keep], data.d)
 
-    A step three times the Newton step fails the gradient rule (the
-    objective falls along it at the candidate) and falls back to the
-    objective rule, which halves it to 1.5 times the Newton step.  After
-    one normal step the fallback starts from an iterate the objective rule
-    accepted; after two, from one the gradient rule accepted, whose
-    objective is computed then.  A descent direction stalls.
+
+def assert_takes_the_oracles_steps(fit, expected):
+    assert fit.theta.as_vector().tobytes() == expected[0].tobytes()
+    assert (fit.iterations, fit.stop_reason) == expected[1:]
+
+
+class TestOneRulePerStep:
+    """fit_mle takes the oracle's steps from its log-odds start, with no forced steps.
+
+    These problems lie below PILOT_MIN_ROWS, so no pilot runs.
+    """
+
+    @PROPERTY
+    @given(seed=seeds, n=st.integers(150, 400), d=st.integers(1, 2), alpha=st.floats(-3.5, 0.5))
+    def test_logistic_problems(self, seed, n, d, alpha):
+        data, w = logistic_problem(seed, n, d, alpha)
+        assume(data.n1 >= 5 and data.n0 >= 5)
+        self.check(data, w)
+
+    @PROPERTY
+    @given(seed=seeds, n=st.integers(2, 60), d=dims)
+    def test_arbitrary_labels_and_weights(self, seed, n, d):
+        x, y, w = random_problem(seed, n, d)
+        assume(w @ y > 0 and w @ (1 - y) > 0)
+        self.check(Dataset(x=x, y=y), w)
+
+    @staticmethod
+    def check(data, w):
+        assert data.n < model.PILOT_MIN_ROWS
+        try:
+            fit = fit_mle(data, w)
+        except RareLogitError as err:
+            with pytest.raises(type(err)):
+                newton_one_rule(data, w, log_odds_start(data, w), SOLVE)
+            return
+        assert_takes_the_oracles_steps(fit, newton_one_rule(data, w, log_odds_start(data, w), SOLVE))
+
+
+class TestForcedSteps:
+    """No sweep makes a later step overshoot, so these force it.
+
+    A step three times the Newton step, after one or two normal steps, is
+    halved until the slope along it at the candidate is not negative: to
+    three quarters of the Newton step where the objective is close to
+    quadratic, where the objective rule took one and a half.  A descent
+    direction fails the slope rule at every halving and stalls.  Both are
+    judged on derivative-only passes alone.
     """
 
     @pytest.mark.parametrize("normal", [1, 2])
     @PROPERTY
     @given(seed=seeds, n=st.integers(150, 400), d=st.integers(1, 2), alpha=st.floats(-3.5, 0.5))
-    def test_overshooting_steps_match_the_objective_only_solver(self, normal, seed, n, d, alpha):
+    def test_an_overshooting_step_matches_the_oracle(self, normal, seed, n, d, alpha):
         data, w = logistic_problem(seed, n, d, alpha)
         assume(data.n1 >= 5 and data.n0 >= 5)
         try:
@@ -148,7 +193,7 @@ class TestForcedFallback:
             assume(False)
 
     @pytest.mark.parametrize("normal", [1, 2])
-    def test_a_descent_direction_stalls_like_the_objective_only_solver(self, normal):
+    def test_a_descent_direction_stalls(self, normal):
         data, w = stall_problem()
         fit = self.check(data, w, -1.0, normal)
         assert (fit.stop_reason, fit.iterations) == ("stalled", normal)
@@ -166,11 +211,12 @@ class TestForcedFallback:
                 patch.setattr(model._Kernel, name, counting)
             patch.setattr(model, "_solve_newton", solve_after(normal, factor))
             fit = fit_mle(data, w)
-        theta = model._log_odds_start(w / w.max(), data.y, data.d)
-        expected = newton_objective_only(data, w, theta, solve_after(normal, factor))
-        assert fit.theta.as_vector().tobytes() == expected[0].tobytes()
-        assert (fit.iterations, fit.stop_reason) == expected[1:]
-        # the fallback ran: only it follows a derivative-only pass with a full one
-        assert ("derivatives", "evaluate") in zip(passes, passes[1:])
+        expected = newton_one_rule(data, w, log_odds_start(data, w), solve_after(normal, factor))
+        assert_takes_the_oracles_steps(fit, expected)
+        # the start and the first step's candidates read the objective, and
+        # no later candidate does
+        first = passes.index("derivatives")
+        assert first >= 2
+        assert passes == ["evaluate"] * first + ["derivatives"] * (len(passes) - first)
         assert fit.evaluations == len(passes)
         return fit
