@@ -189,6 +189,14 @@ class Coefficients:
         return cls(alpha=float(theta[0]), beta=theta[1:])
 
 
+def _check_count(name: str, value: object, least: int) -> None:
+    """Raise ValueError unless value is an integer, not a bool, of at least least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverSettings:
     """Newton solver knobs shared by every estimator, checked once here.
@@ -206,8 +214,7 @@ class SolverSettings:
     def __post_init__(self) -> None:
         if not 0 < self.tol < np.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
-            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        _check_count("max_iter", self.max_iter, 1)
         if not self.divergence_bound > 0:
             raise ValueError("divergence_bound must be positive")
 

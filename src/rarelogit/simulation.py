@@ -22,7 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import EstimatorFamily, EstimatorKind, fit_estimator, realize_design
-from .model import Coefficients, Dataset, RareLogitError, SolverSettings, _augmented, _expit, _lending
+from .model import (
+    Coefficients,
+    Dataset,
+    RareLogitError,
+    SolverSettings,
+    _augmented,
+    _check_count,
+    _expit,
+    _lending,
+)
 from .sampling import substream
 
 __all__ = [
@@ -248,7 +257,8 @@ def calibrate_intercept(
     or one so small that its square underflows), beta'x is its mean and
     the closed form log(rho/(1-rho)) - beta'mu is returned directly.  A
     beta that is not finite, or whose beta'x has a mean or sd that
-    overflows float64, raises ValueError before any integration.
+    overflows float64, raises ValueError before any integration, as does
+    a precision that is not positive and finite.
     """
     beta = np.atleast_1d(np.asarray(beta, dtype=np.float64))
     if beta.shape != (law.dim,):
@@ -257,8 +267,8 @@ def calibrate_intercept(
         raise ValueError("beta must be finite")
     if not (0.0 < target_rate < 1.0):
         raise ValueError("target_rate must be in (0, 1)")
-    if not precision > 0:
-        raise ValueError("precision must be positive")
+    if not 0 < precision < math.inf:
+        raise ValueError(f"precision must be positive and finite, got {precision}")
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(beta @ np.asarray(law.means))
         sd = float(np.sqrt(np.sum((beta * np.asarray(law.sds)) ** 2)))
@@ -366,7 +376,9 @@ class ExperimentConfig:
     the same scheme and rate.  The estimators are fitted in the given
     order with the solver settings, from the starts run_experiment
     describes, and every estimate is scored against
-    design.true_coefficients().
+    design.true_coefficients().  n, reps and base_seed are integers, not
+    bools, with n >= 2, reps >= 1 and base_seed >= 0; anything else raises
+    ValueError here rather than inside run_experiment.
     """
 
     design: ConditionalGaussianDesign | MarginalLogisticDesign
@@ -377,10 +389,9 @@ class ExperimentConfig:
     solver: SolverSettings = SolverSettings()
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+        _check_count("n", self.n, 2)
+        _check_count("reps", self.reps, 1)
+        _check_count("base_seed", self.base_seed, 0)
         estimators = tuple(self.estimators)
         if not estimators:
             raise ValueError("need at least one estimator")

@@ -3,8 +3,14 @@
 Each case runs one `fit`, `variance`, `table1` or `sweep` command through
 `cli.main` on inputs generated here from seeded substreams, and compares the
 result CSV with `tests/golden/<case>.csv`: the provenance line and every text
-cell exactly, numeric cells to 1e-12 relative (1e-12 absolute near zero), so
-that a different BLAS build still passes.
+cell exactly, numeric cells to 1e-12 relative (1e-12 absolute near zero).
+Two things move last digits between machines with the same numpy, and the
+tolerance accepts both: the BLAS build, and numpy's CPU dispatch of `exp`
+and `log1p`, whose AVX-512 kernels give other last bits than the ones it
+falls back to.  `NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`
+turns those kernels off for one process; with it, 10 of the 17 files change
+in their last digits, and `grad_max_norm` (about 1e-10) passes by the
+absolute tolerance alone.
 
 Regenerate the golden files, after a change that is meant to move them, with
 
@@ -14,9 +20,10 @@ Given a directory, the script writes the 17 result files there instead, so
 two commits' outputs compare byte for byte: run it in a checkout of each,
 each with its own directory, then `diff -r` the two directories.  Compare a
 change with its parent commit's output, not with tests/golden/: a file
-written with another BLAS build can differ from the committed one in its
-last digits (sweep_over.csv does on some machines), which this test's
-1e-12 tolerance accepts.
+written with another BLAS build or CPU dispatch can differ from the committed
+one in its last digits (sweep_over.csv does on some machines), which this
+test's 1e-12 tolerance accepts.  Write both directories on one machine, with
+the same NPY_DISABLE_CPU_FEATURES.
 
     PYTHONPATH=src python tests/test_golden.py DIR
 """

@@ -1,4 +1,4 @@
-"""The package's public surface and what importing it loads."""
+"""The package's public surface, what importing it loads, and the layout of its tests."""
 
 import os
 import subprocess
@@ -66,6 +66,20 @@ PUBLIC = [
     "v_under_weighted",
     "weighted_moment_inequality_check",
 ]
+
+
+# the test modules that span layers; every other one is named after the
+# src/rarelogit module whose tests it holds
+CROSS_LAYER = ["test_acceptance.py", "test_equivalences.py", "test_golden.py", "test_package.py",
+               "test_table_properties.py"]
+
+
+def test_one_test_module_per_layer():
+    # a new test joins its layer's module, so a reader who looks for a
+    # module's tests opens one file
+    tests = Path(__file__).resolve().parent
+    layers = [f"test_{p.stem}.py" for p in (tests.parent / "src" / "rarelogit").glob("*.py") if p.stem != "__init__"]
+    assert sorted(p.name for p in tests.glob("test_*.py")) == sorted(layers + CROSS_LAYER)
 
 
 def test_all_lists_each_public_name_once():

@@ -1,3 +1,10 @@
+"""Tests of rarelogit.simulation: the data generators, intercept calibration
+and the replication harness, with its one full-data problem per replication
+and its anchored starts.
+
+Each section after the first opens with a comment that says what it pins.
+"""
+
 import dataclasses
 import math
 import os
@@ -10,11 +17,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 from scipy.special import expit
 
 import rarelogit
+import rarelogit as rl
 from rarelogit import (
     AllReplicationsFailedError,
     CalibrationError,
@@ -29,15 +39,25 @@ from rarelogit import (
     SolverSettings,
     calibrate_intercept,
     emse,
+    fit_estimator,
     full_mle,
     generate_conditional,
     generate_marginal,
+    oversample,
     run_experiment,
     simulation,
     substream,
+    undersample,
 )
+from rarelogit import EstimatorFamily as F
+from rarelogit import EstimatorKind as K
+
+from _oracles import replication_direct
+from test_table_properties import rare_problem
+
 
 FULL = EstimatorKind(EstimatorFamily.FULL)
+SMALL_CONFIG = dict(design=ConditionalGaussianDesign(1.0, 0.0, 1.0, 0.1), n=100, reps=1, estimators=(FULL,), base_seed=0)
 
 
 def event_rate_by_quadrature(alpha, beta, mean=0.0, sd=1.0):
@@ -582,12 +602,396 @@ class TestRunExperiment:
             ),
             "n must be >= 2",
         ),
+        # at precision = inf every rate is close enough, so the first
+        # midpoint, 0.0, came back whatever the target
+        (
+            lambda: calibrate_intercept([1.0], GaussianLaw.standard(1), 0.02, precision=math.inf),
+            "precision must be positive and finite",
+        ),
+        (
+            lambda: calibrate_intercept([1.0], GaussianLaw.standard(1), 0.02, precision=math.nan),
+            "precision must be positive and finite",
+        ),
+        # a float seed used to run as its integer part, a float size to fail
+        # inside run_experiment, and a negative seed at the first substream
+        (lambda: ExperimentConfig(**{**SMALL_CONFIG, "base_seed": 1.7}), "base_seed must be an integer, got 1.7"),
+        (lambda: ExperimentConfig(**{**SMALL_CONFIG, "base_seed": -1}), "base_seed must be >= 0, got -1"),
+        (lambda: ExperimentConfig(**{**SMALL_CONFIG, "reps": 2.5}), "reps must be an integer, got 2.5"),
+        (lambda: ExperimentConfig(**{**SMALL_CONFIG, "reps": True}), "reps must be an integer, got True"),
+        (lambda: ExperimentConfig(**{**SMALL_CONFIG, "n": 1000.5}), "n must be an integer, got 1000.5"),
     ],
     ids=[
         "law-lengths", "empty-law", "conditional-n", "marginal-n", "calibration-beta",
         "calibration-rate", "calibration-precision", "emse-dims", "config-n",
+        "calibration-precision-inf", "calibration-precision-nan",
+        "config-float-seed", "config-negative-seed", "config-float-reps", "config-bool-reps", "config-float-n",
     ],
 )
 def test_malformed_arguments_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_config_takes_numpy_integers():
+    config = ExperimentConfig(**{**SMALL_CONFIG, "n": np.int64(100), "reps": np.int32(2), "base_seed": np.uint64(7)})
+    assert (config.n, config.reps, config.base_seed) == (100, 2, 7)
+    assert type(config.base_seed) is int
+
+
+# ----------------------------------------------------------------------------
+# One full-data problem per replication.
+#
+# At pi0 = 1 and lambda_n = 0 a design keeps every row once with weight 1
+# and shifts the intercept by 0, so those kinds fit the full estimator's
+# problem.  run_experiment draws no design for them and fits that problem
+# until a fit of it converges; every later kind of it takes that estimate.
+# These tests pin that the report equals the one of drawing every design
+# and fitting every kind on its own (_oracles.replication_direct), and
+# that the draws and fits it skips are not made.
+# ----------------------------------------------------------------------------
+
+# derandomized and without an example database, so every run tries the same
+# examples whatever earlier runs found
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+# full, four kinds at the identity rates, and eight drawn at four designs
+KINDS = (
+    K(F.FULL),
+    *(K(family, rate) for family in (F.UNDER_WEIGHTED, F.UNDER_BIAS_CORRECTED) for rate in (0.3, 1.0)),
+    *(K(family, rate) for family in (F.OVER_WEIGHTED, F.OVER_BIAS_CORRECTED) for rate in (0.0, 2.0)),
+    *(K(family, 0.6) for family in (F.UNDER_WEIGHTED, F.UNDER_BIAS_CORRECTED)),
+    *(K(family, 5.0) for family in (F.OVER_WEIGHTED, F.OVER_BIAS_CORRECTED)),
+)
+# at n = 3000, d = 2 a cold fit takes 5-6 Newton steps and an anchored one
+# 2-3, so at 5 steps some fits before the anchor fail and the rest converge
+SMALL_MAX_ITER = 5
+
+
+def full_data(kind):
+    return kind.design_kind is None or kind.rate == kind.design_kind.identity_rate
+
+
+def config(seed, d, order, max_iter, reps=3):
+    design = rl.MarginalLogisticDesign(
+        theta=rl.Coefficients(-3.0, [1.0] * d), law=rl.GaussianLaw.standard(d)
+    )
+    return rl.ExperimentConfig(
+        design=design,
+        n=3000,
+        reps=reps,
+        estimators=tuple(KINDS[i] for i in order),
+        base_seed=seed,
+        solver=rl.SolverSettings(max_iter=max_iter),
+    )
+
+
+def outcome(config):
+    """The report's fields as bytes, or the message of an all-failed estimator."""
+    try:
+        report = rl.run_experiment(config)
+    except rl.AllReplicationsFailedError as err:
+        return str(err)
+    head = np.array([report.reps, report.mean_n1, *report.theta_t.as_vector()])
+    return [head.tobytes()] + [
+        (
+            entry.kind,
+            entry.failed,
+            np.array(
+                [entry.emse_total, entry.emse_alpha, *entry.emse_beta, *entry.error_mean,
+                 *np.ravel(entry.scaled_cov)]
+            ).tobytes(),
+        )
+        for entry in report.entries
+    ]
+
+
+@pytest.mark.parametrize(
+    "family",
+    [F.UNDER_WEIGHTED, F.UNDER_BIAS_CORRECTED, F.OVER_WEIGHTED, F.OVER_BIAS_CORRECTED],
+)
+def test_a_kind_at_its_identity_rate_fits_the_full_problem_bit_for_bit(family):
+    # large and rare enough for a pilot start, so the pilot's weights count too
+    data = rl.MarginalLogisticDesign(
+        theta=rl.Coefficients(-5.0, [1.0, -0.5]), law=rl.GaussianLaw.standard(2)
+    ).draw(60_000, rl.substream(3))
+    kind = K(family, family.design_kind.identity_rate)
+    design = rl.realize_design(kind, data, rl.substream(3, 1))
+    assert np.array_equal(design.indicators, np.ones(data.n))
+    full = rl.full_mle(data)
+    start = rl.Coefficients(-4.0, [0.5, 0.0])
+    for got, want in (
+        (rl.fit_estimator(kind, data, design), full),
+        (rl.fit_estimator(kind, data, design, start=start), rl.fit_estimator(K(F.FULL), data, start=start)),
+    ):
+        assert got.pilot_iterations == want.pilot_iterations
+        assert (got.iterations, got.evaluations, got.stop_reason) == (want.iterations, want.evaluations, "converged")
+        assert got.theta.as_vector().tobytes() == want.theta.as_vector().tobytes()
+        assert got.neg_hessian.tobytes() == want.neg_hessian.tobytes()
+    assert full.pilot_iterations > 0
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 2),
+    order=st.permutations(range(len(KINDS))),
+    max_iter=st.sampled_from([rl.SolverSettings().max_iter, SMALL_MAX_ITER]),
+)
+def test_the_report_is_that_of_fitting_every_kind(seed, d, order, max_iter):
+    cfg = config(seed, d, order, max_iter)
+    got = outcome(cfg)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulation, "_run_replication", replication_direct)
+        want = outcome(cfg)
+    assert got == want
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Per replication the test appends, the kinds of its design draws and its fits.
+
+    A fit is recorded as (kind, design, converged).
+    """
+    replications = []
+    realize_design, fit_estimator = simulation.realize_design, simulation.fit_estimator
+    lock = threading.Lock()
+
+    def realize(kind, data, rng):
+        with lock:  # drawn on the helper thread
+            replications[-1][0].append(kind)
+        return realize_design(kind, data, rng)
+
+    def fit(kind, data, design, settings, *, start=None):
+        converged = False
+        try:
+            result = fit_estimator(kind, data, design, settings, start=start)
+            converged = result.converged
+            return result
+        finally:
+            with lock:
+                replications[-1][1].append((kind, design, converged))
+
+    monkeypatch.setattr(simulation, "realize_design", realize)
+    monkeypatch.setattr(simulation, "fit_estimator", fit)
+    return replications
+
+
+@pytest.mark.parametrize("max_iter", [rl.SolverSettings().max_iter, SMALL_MAX_ITER])
+def test_no_identity_design_is_drawn_and_the_full_data_problem_is_fitted_until_it_converges(
+    recorded, max_iter
+):
+    # the full-data kinds spread through the order, FULL among them
+    order = (1, 2, 5, 0, 3, 6, 7, 9, 4, 8, 10, 11, 12)
+    cfg = config(7, 2, order, max_iter, reps=4)
+    for s in range(1, cfg.reps + 1):
+        recorded.append(([], []))
+        simulation._run_replication(cfg, s)
+    refits = 0
+    for draws, fits in recorded:
+        # each of the four drawn designs once, none at an identity rate
+        assert len(draws) == 4 and not any(full_data(kind) for kind in draws)
+        problem = [(kind, design, ok) for kind, design, ok in fits if full_data(kind)]
+        # fitted as the full estimator, and only until one such fit converges
+        assert all(kind == K(F.FULL) and design is None for kind, design, _ in problem)
+        assert [ok for _, _, ok in problem[:-1]] == [False] * (len(problem) - 1)
+        taken = sum(map(full_data, cfg.estimators)) - len(problem)
+        assert taken == 0 or problem[-1][2]
+        assert len(fits) == len(order) - taken
+        refits += len(problem) - 1
+    # by default the first full-data fit converges; at 5 steps the cold ones fail
+    assert (refits == 0) if max_iter == rl.SolverSettings().max_iter else (refits > 0)
+
+
+def test_estimators_that_fail_in_every_replication_leave_the_other_entries():
+    # the five kinds before over-bc at 5 are fitted cold, before any
+    # anchor, and at 5 steps never converge; the kinds after them start
+    # from the anchor and do
+    order = (10, 2, 7, 4, 5, 12, 0, 3, 6, 9, 11, 8, 1)
+    cfg = config(1, 2, order, SMALL_MAX_ITER)
+    report = rl.run_experiment(cfg)
+    assert [entry.failed for entry in report.entries] == [cfg.reps] * 5 + [0] * 8
+    for entry in report.entries:
+        stats = [entry.emse_total, entry.emse_alpha, *entry.emse_beta, *entry.error_mean,
+                 *np.ravel(entry.scaled_cov)]
+        assert len(stats) == 2 + 2 + 3 + 9
+        assert np.all(np.isnan(stats) if entry.failed else np.isfinite(stats))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulation, "_run_replication", replication_direct)
+        want = outcome(cfg)
+    assert outcome(cfg) == want
+
+
+# ----------------------------------------------------------------------------
+# Property tests of anchored starts.
+#
+# Inside one replication every estimator lies near every other once its
+# intercept shift is applied, so run_experiment starts each fit after the
+# first converged one at that first estimate, or, when the fit's design was
+# fitted before, at that design's latest estimate.  These properties pin
+# that a start changes where a fit begins but not where it ends, which
+# estimate each fit starts at, that the pi0 = 1 and lambda_n = 0 entries
+# still equal the full-data entry exactly whatever the order of the
+# estimators, and how many Newton steps a replication of the acceptance
+# sweeps takes.
+# ----------------------------------------------------------------------------
+
+TIGHT = SolverSettings(tol=1e-10)
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+def estimates(data, pi0, lam, seed):
+    """Every family's cold-start fit on one problem, keyed by family."""
+    under = undersample(data, pi0, substream(seed, 1))
+    over = oversample(data, lam, substream(seed, 2))
+    problems = {
+        F.FULL: (K(F.FULL), None),
+        F.UNDER_WEIGHTED: (K(F.UNDER_WEIGHTED, pi0), under),
+        F.UNDER_BIAS_CORRECTED: (K(F.UNDER_BIAS_CORRECTED, pi0), under),
+        F.OVER_WEIGHTED: (K(F.OVER_WEIGHTED, lam), over),
+        F.OVER_BIAS_CORRECTED: (K(F.OVER_BIAS_CORRECTED, lam), over),
+    }
+    fits = {}
+    for family, (kind, design) in problems.items():
+        try:
+            fit = fit_estimator(kind, data, design, TIGHT)
+        except RareLogitError:
+            continue
+        if fit.converged:
+            fits[family] = fit
+    return problems, fits
+
+
+@PROPERTY
+@given(
+    seed=seeds,
+    n=st.integers(30, 2000),
+    d=st.integers(1, 3),
+    pi0=st.floats(0.05, 1.0),
+    lam=st.floats(0.0, 6.0),
+)
+def test_a_start_moves_the_path_not_the_optimum(seed, n, d, pi0, lam):
+    data = rare_problem(seed, n, d)
+    problems, cold = estimates(data, pi0, lam, seed)
+    assume(F.FULL in cold)
+    for family, fit in cold.items():
+        kind, design = problems[family]
+        want = fit.theta.as_vector()
+        for start in cold.values():
+            warm = fit_estimator(kind, data, design, TIGHT, start=start.theta)
+            assert warm.converged
+            got = warm.theta.as_vector()
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+@PROPERTY
+@given(seed=seeds, d=st.integers(1, 2), order=st.permutations(range(13)))
+def test_identity_entries_stay_exact_in_any_order(seed, d, order):
+    kinds = [K(F.FULL)]
+    for family in (F.UNDER_WEIGHTED, F.UNDER_BIAS_CORRECTED):
+        kinds += [K(family, rate) for rate in (0.3, 1.0)]
+    for family in (F.OVER_WEIGHTED, F.OVER_BIAS_CORRECTED):
+        kinds += [K(family, rate) for rate in (0.0, 2.0)]
+    kinds += [K(family, 0.6) for family in (F.UNDER_WEIGHTED, F.UNDER_BIAS_CORRECTED)]
+    kinds += [K(family, 5.0) for family in (F.OVER_WEIGHTED, F.OVER_BIAS_CORRECTED)]
+    design = rl.MarginalLogisticDesign(
+        theta=rl.Coefficients(-3.0, [1.0] * d), law=rl.GaussianLaw.standard(d)
+    )
+    config = rl.ExperimentConfig(
+        design=design,
+        n=3000,
+        reps=3,
+        estimators=tuple(kinds[i] for i in order),
+        base_seed=seed,
+    )
+    report = rl.run_experiment(config)
+    full = report.entry(K(F.FULL))
+    for kind in (
+        K(F.UNDER_WEIGHTED, 1.0),
+        K(F.UNDER_BIAS_CORRECTED, 1.0),
+        K(F.OVER_WEIGHTED, 0.0),
+        K(F.OVER_BIAS_CORRECTED, 0.0),
+    ):
+        entry = report.entry(kind)
+        assert entry.emse_total == full.emse_total
+        assert entry.emse_alpha == full.emse_alpha
+        assert_array_equal(entry.emse_beta, full.emse_beta)
+        assert entry.failed == full.failed
+
+
+def test_a_design_fitted_again_starts_at_its_latest_estimate(monkeypatch):
+    # each design's second fit starts at its first fit's estimate, every
+    # other fit after the anchor at the anchor
+    calls = []
+
+    def recording(kind, data, design, settings, start=None):
+        fit = fit_estimator(kind, data, design, settings, start=start)
+        calls.append((kind, start, fit))
+        return fit
+
+    monkeypatch.setattr(simulation, "fit_estimator", recording)
+    kinds = (
+        K(F.UNDER_BIAS_CORRECTED, 0.3),
+        K(F.FULL),
+        K(F.OVER_WEIGHTED, 2.0),
+        K(F.UNDER_WEIGHTED, 0.3),
+        K(F.OVER_BIAS_CORRECTED, 2.0),
+        K(F.OVER_WEIGHTED, 2.0),
+        K(F.UNDER_WEIGHTED, 0.6),
+    )
+    design = rl.MarginalLogisticDesign(
+        theta=rl.Coefficients(-3.0, [1.0]), law=rl.GaussianLaw.standard(1)
+    )
+    config = rl.ExperimentConfig(
+        design=design, n=3000, reps=1, estimators=kinds, base_seed=4
+    )
+    rl.run_experiment(config)
+    assert [kind for kind, _, _ in calls] == list(kinds) and all(f.converged for *_, f in calls)
+    theta = [fit.theta.as_vector() for _, _, fit in calls]
+    # under-bc@0.3 is the anchor and under-w@0.3's design's first estimate;
+    # over-bc@2 starts at over-w@2, then over-w@2 again at over-bc@2
+    expected = [None, theta[0], theta[0], theta[0], theta[2], theta[4], theta[0]]
+    for (kind, start, _), want in zip(calls, expected):
+        if want is None:
+            assert start is None, kind
+        else:
+            assert_array_equal(start.as_vector(), want, err_msg=str(kind))
+
+
+ACCEPTANCE_RATES = {
+    F.UNDER_WEIGHTED: (0.005, 0.01, 0.2, 0.5, 0.8, 1.0),
+    F.OVER_WEIGHTED: (0.0, 3.48, 11.18, 53.6),
+}
+
+
+@pytest.mark.parametrize(
+    "weighted, bias_corrected, bound, calls",
+    [
+        (F.UNDER_WEIGHTED, F.UNDER_BIAS_CORRECTED, 45, 11),
+        (F.OVER_WEIGHTED, F.OVER_BIAS_CORRECTED, 30, 7),
+    ],
+    ids=["under", "over"],
+)
+def test_acceptance_replication_step_count(monkeypatch, weighted, bias_corrected, bound, calls):
+    # from cold starts this replication takes 71 (under) and 49 (over) steps;
+    # the two kinds at the identity rate take the full fit's estimate unfitted
+    fits = []
+
+    def recording(*args, **kwargs):
+        fits.append(fit_estimator(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(simulation, "fit_estimator", recording)
+    kinds = [K(F.FULL)]
+    for rate in ACCEPTANCE_RATES[weighted]:
+        kinds += [K(weighted, rate), K(bias_corrected, rate)]
+    design = rl.MarginalLogisticDesign(
+        theta=rl.Coefficients(-6.0, [1.0]), law=rl.GaussianLaw.standard(1)
+    )
+    config = rl.ExperimentConfig(
+        design=design, n=100_000, reps=1, estimators=tuple(kinds), base_seed=20260810
+    )
+    rl.run_experiment(config)
+    assert len(fits) == calls and all(fit.converged for fit in fits)
+    steps = sum(fit.iterations for fit in fits)
+    assert steps <= bound, f"{steps} Newton steps in one replication"
