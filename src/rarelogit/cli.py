@@ -40,7 +40,7 @@ from .estimators import (
     fit_estimator,
     realize_design,
 )
-from .model import BLOCK_ROWS, Coefficients, Dataset, RareLogitError, SolverSettings, _lending
+from .model import BLOCK_ROWS, Coefficients, Dataset, RareLogitError, SolverSettings, _check_count, _lending
 from .sampling import DesignKind, effective_sample_size, substream
 from .simulation import (
     ConditionalGaussianDesign,
@@ -515,6 +515,7 @@ def main(argv: list[str] | None = None) -> int:
     _one_blas_thread()
     args = _build_parser().parse_args(argv)
     try:
+        _check_count("--seed", args.seed, 0)
         # the command's fits share one kernel buffer, dropped when it returns
         with _lending():
             header, rows = args.func(args)

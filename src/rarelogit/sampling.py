@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset
+from .model import Dataset, _check_count
 
 __all__ = [
     "DesignKind",
@@ -46,8 +46,13 @@ def substream(base_seed: int, *path: int) -> np.random.Generator:
 
     Streams are derived by keying a SeedSequence with the base seed as
     entropy and the path as spawn key, so distinct paths give statistically
-    independent generators and the mapping is deterministic.
+    independent generators and the mapping is deterministic.  The seed
+    and each path entry are integers, not bools, of at least 0; anything
+    else raises ValueError.
     """
+    _check_count("base_seed", base_seed, 0)
+    for i, entry in enumerate(path):
+        _check_count(f"path[{i}]", entry, 0)
     seq = np.random.SeedSequence(
         entropy=int(base_seed), spawn_key=tuple(int(p) for p in path)
     )

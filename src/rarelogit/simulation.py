@@ -187,8 +187,7 @@ def generate_conditional(
     design = ConditionalGaussianDesign(
         mu1=mu1, mu0=mu0, sigma=sigma, target_rate=target_rate
     )
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_count("n", n, 1)
     y = (rng.random(n) < design.target_rate).astype(np.int64)
     mu = np.where(y == 1, design.mu1, design.mu0)
     x = mu + design.sigma * rng.standard_normal(n)
@@ -202,8 +201,7 @@ def generate_marginal(
     """Draw covariates from the law, then labels from the logistic model."""
     # the design checks the dimensions and that alpha + beta'x cannot overflow
     MarginalLogisticDesign(theta=theta_t, law=law)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_count("n", n, 1)
     x = law.sample(n, rng)
     p = x @ theta_t.beta
     p += theta_t.alpha
@@ -402,6 +400,32 @@ class ExperimentConfig:
         object.__setattr__(self, "base_seed", int(self.base_seed))
 
 
+def _openblas(stem: str) -> list:
+    """Each loaded OpenBLAS's function openblas_<stem>, under whichever name it has.
+
+    The libraries are found in /proc/self/maps; where it cannot be read,
+    the list is empty.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return []
+    functions = []
+    for path in (p for p in paths if ".so" in p):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        # plain OpenBLAS, and the prefixed 64- and 32-bit-index builds numpy and scipy ship
+        for name in (f"openblas_{stem}", f"scipy_openblas_{stem}64_", f"scipy_openblas_{stem}"):
+            function = getattr(lib, name, None)
+            if function is not None:
+                functions.append(function)
+                break
+    return functions
+
+
 @functools.cache
 def _one_blas_thread() -> None:
     """Run every OpenBLAS this process has loaded on one thread, once per process.
@@ -421,23 +445,13 @@ def _one_blas_thread() -> None:
     that calibrate_intercept loads later keeps its own default thread
     count; its quad makes no BLAS calls.
     """
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
-    except OSError:
-        return
-    for path in (p for p in paths if ".so" in p):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        # plain OpenBLAS, and the prefixed 64- and 32-bit-index builds numpy and scipy ship
-        for name in ("openblas_set_num_threads", "scipy_openblas_set_num_threads64_",
-                     "scipy_openblas_set_num_threads"):
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter(1)
-                break
+    for setter in _openblas("set_num_threads"):
+        setter(1)
+
+
+def _blas_threads() -> int:
+    """The largest thread count of the loaded OpenBLAS libraries, 0 where none is found."""
+    return max((getter() for getter in _openblas("get_num_threads")), default=0)
 
 
 def _run_replications(
@@ -562,8 +576,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> EmseReport:
     max(1, reps // (4 threads)) replications, each with its BLAS on one
     thread (see _one_blas_thread).
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    _check_count("threads", threads, 1)
     reps = range(1, config.reps + 1)
     if threads > 1:
         size = max(1, config.reps // (4 * threads))

@@ -559,6 +559,26 @@ class TestSweepCommand:
         assert capsys.readouterr().err.strip() == f"ValueError: threads must be >= 1, got {threads}"
         assert not out.exists()
 
+    # fit and variance used to fail with numpy's "expected non-negative
+    # integer", and table1 and sweep to name base_seed
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--estimator", "full"],
+            ["table1", "--n", 500, "--rate", 0.1, "--reps", 2, "--threads", 1],
+            ["sweep", "--pi0-grid", 0.5, "--n", 300, "--theta-t=-2,1", "--reps", 2, "--threads", 1],
+            ["variance", "--kind", "full", "--beta", 1, "--m", 1000],
+        ],
+        ids=["fit", "table1", "sweep", "variance"],
+    )
+    def test_negative_seed_exits_2_naming_the_flag(self, tmp_path, capsys, balanced_csv, argv):
+        out = tmp_path / "t.csv"
+        data = ["--data", balanced_csv] if argv[0] == "fit" else []
+        code = run_cli(argv + data + ["--seed", -1, "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == "ValueError: --seed must be >= 0, got -1"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "extra, message",
         [
@@ -859,21 +879,14 @@ def test_commands_run_one_blas_thread_set_once_per_process(tmp_path):
     # loaded library reports one thread after them, and the cached setter
     # was called by both but ran once.
     script = (
-        "import ctypes, os, sys\n"
+        "import os\n"
         "from rarelogit import cli, simulation\n"
-        "def blas_threads():\n"
-        "    with open('/proc/self/maps') as fh:\n"
-        "        paths = {l.split()[-1] for l in fh if 'openblas' in l.lower() and '.so' in l}\n"
-        "    names = ('openblas_get_num_threads', 'scipy_openblas_get_num_threads64_',\n"
-        "             'scipy_openblas_get_num_threads')\n"
-        "    libs = [ctypes.CDLL(path) for path in paths]\n"
-        "    return max(getattr(lib, n)() for lib in libs for n in names if hasattr(lib, n))\n"
         "assert cli._one_blas_thread is simulation._one_blas_thread\n"
-        "before = blas_threads()\n"
+        "before = simulation._blas_threads()\n"
         "argv = ['variance', '--kind', 'full', '--beta', '1', '--m', '100', '--out', os.devnull]\n"
         "codes = [cli.main(argv), cli.main(argv)]\n"
         "info = simulation._one_blas_thread.cache_info()\n"
-        "print(before, blas_threads(), info.misses, info.hits, *codes)\n"
+        "print(before, simulation._blas_threads(), info.misses, info.hits, *codes)\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")

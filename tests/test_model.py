@@ -1681,6 +1681,16 @@ def test_fits_outside_the_rule_keep_the_log_odds_start(case):
     assert fingerprint(fit) == fingerprint(fit_mle(data, w, init=log_odds_init(data, w)))
 
 
+def test_pilot_short_of_tol_falls_back_to_the_log_odds_start():
+    # two steps take neither the pilot nor the full fit from a cold start to tol
+    data = rare_marginal(14, n=model.PILOT_MIN_ROWS)
+    w = np.ones(data.n)
+    settings = SolverSettings(max_iter=2)
+    fit = fit_mle(data, w, settings=settings)
+    assert fit.pilot_iterations == 0 and fit.stop_reason == "max_iter"
+    assert fingerprint(fit) == fingerprint(fit_mle(data, w, init=log_odds_init(data, w), settings=settings))
+
+
 def test_a_given_start_takes_no_pilot():
     data = rare_marginal(11)
     fit = fit_mle(data, np.ones(data.n), init=Coefficients(-5.0, [0.5]))

@@ -1,11 +1,16 @@
-"""The package's public surface, what importing it loads, and the layout of its tests."""
+"""The package's public surface, what importing it loads, the layout of its tests, and CI's probe."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import rarelogit
+
+ROOT = Path(__file__).resolve().parents[1]
+PROBE = ROOT / ".github" / "probe.py"
 
 PUBLIC = [
     "AllOneClassError",
@@ -113,3 +118,30 @@ def test_import_loads_no_scipy_until_calibration(tmp_path):
         check=True, timeout=120, cwd=tmp_path,
     )
     assert run.stdout.split() == ["0", "-0x1.170d65f980000p+2", "True"]
+
+
+def test_probe_code_size_skips_a_missing_tree(tmp_path):
+    # on a push there is no base worktree, so its column is left out
+    argv = [sys.executable, str(PROBE), "code-size", "head=.", f"base={tmp_path / 'missing'}"]
+    run = subprocess.run(argv, capture_output=True, text=True, check=True, timeout=60, cwd=ROOT)
+    lines = run.stdout.splitlines()
+    assert lines[:4] == ["### Non-blank lines in src/rarelogit", "", "| module | head |", "|---|---:|"]
+    assert sum(line.startswith("### ") for line in lines) == 1
+    counts = {path.name: len(re.findall(r"(?m)^.*\S.*$", path.read_text()))
+              for path in sorted((ROOT / "src" / "rarelogit").glob("*.py"))}
+    assert lines[4:-2] == [f"| {module} | {n} |" for module, n in counts.items()]
+    assert lines[-2:] == [f"| total | {sum(counts.values())} |", ""]
+
+
+def constant(path, name):
+    """The literal value the script at path assigns to name, read without running it."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and [getattr(target, "id", None) for target in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{path} assigns no {name}")
+
+
+def test_probe_runs_the_benchmark_workloads_and_rate_grids():
+    # the sweeps report mirrors bench/run.py's sweeps, and reference runs each workload
+    for name in ("WORKLOADS", "UNDER_RATES", "OVER_RATES"):
+        assert constant(PROBE, name) == constant(ROOT / "bench" / "run.py", name), name

@@ -35,6 +35,28 @@ class TestSubstream:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_numpy_integers_give_the_same_stream(self):
+        a = substream(np.int64(123), np.uint8(4), np.int32(5)).random(8)
+        assert_array_equal(a, substream(123, 4, 5).random(8))
+
+    # a float or bool seed used to run as its integer part, and a negative
+    # one to fail with numpy's unnamed "expected non-negative integer"
+    @pytest.mark.parametrize(
+        "seed, path, message",
+        [
+            (1.7, (), "base_seed must be an integer, got 1.7"),
+            (True, (), "base_seed must be an integer, got True"),
+            (-1, (), "base_seed must be >= 0, got -1"),
+            (0, (2, 0.5), r"path\[1\] must be an integer, got 0.5"),
+            (0, (False,), r"path\[0\] must be an integer, got False"),
+            (0, (3, -2), r"path\[1\] must be >= 0, got -2"),
+        ],
+        ids=["float-seed", "bool-seed", "negative-seed", "float-entry", "bool-entry", "negative-entry"],
+    )
+    def test_malformed_seed_or_path_rejected(self, seed, path, message):
+        with pytest.raises(ValueError, match=message):
+            substream(seed, *path)
+
 
 class TestUndersample:
     def test_pi0_one_keeps_everything(self):

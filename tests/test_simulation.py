@@ -382,24 +382,16 @@ class TestRunExperiment:
         # library's thread count, and so does every pool worker in place of
         # its replication's n1; mean_n1 is then the workers' largest count.
         script = (
-            "import ctypes\n"
             "import numpy as np\n"
             "import rarelogit as rl\n"
             "from rarelogit import simulation\n"
-            "def blas_threads():\n"
-            "    with open('/proc/self/maps') as fh:\n"
-            "        paths = {l.split()[-1] for l in fh if 'openblas' in l.lower() and '.so' in l}\n"
-            "    names = ('openblas_get_num_threads', 'scipy_openblas_get_num_threads64_',\n"
-            "             'scipy_openblas_get_num_threads')\n"
-            "    libs = [ctypes.CDLL(path) for path in paths]\n"
-            "    return max(getattr(lib, n)() for lib in libs for n in names if hasattr(lib, n))\n"
             "def replication(config, s):\n"
-            "    return blas_threads(), [np.zeros(2)]\n"
+            "    return simulation._blas_threads(), [np.zeros(2)]\n"
             "simulation._run_replication = replication\n"
             "config = rl.ExperimentConfig(\n"
             "    design=rl.ConditionalGaussianDesign(1.0, 0.0, 1.0, 0.2), n=600, reps=8,\n"
             "    estimators=(rl.EstimatorKind(rl.EstimatorFamily.FULL),), base_seed=1)\n"
-            "print(blas_threads(), rl.run_experiment(config, threads=2).mean_n1)\n"
+            "print(simulation._blas_threads(), rl.run_experiment(config, threads=2).mean_n1)\n"
         )
         src = str(Path(rarelogit.__file__).resolve().parents[1])
         env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
@@ -619,12 +611,22 @@ class TestRunExperiment:
         (lambda: ExperimentConfig(**{**SMALL_CONFIG, "reps": 2.5}), "reps must be an integer, got 2.5"),
         (lambda: ExperimentConfig(**{**SMALL_CONFIG, "reps": True}), "reps must be an integer, got True"),
         (lambda: ExperimentConfig(**{**SMALL_CONFIG, "n": 1000.5}), "n must be an integer, got 1000.5"),
+        # a float thread count or size used to raise a bare TypeError, and
+        # threads=True to run one worker
+        (lambda: run_experiment(ExperimentConfig(**SMALL_CONFIG), threads=2.5), "threads must be an integer, got 2.5"),
+        (lambda: run_experiment(ExperimentConfig(**SMALL_CONFIG), threads=True), "threads must be an integer, got True"),
+        (lambda: generate_conditional(2.5, 0.1, 1.0, 0.0, 1.0, substream(0)), "n must be an integer, got 2.5"),
+        (
+            lambda: generate_marginal(2.5, Coefficients(-2.0, [1.0]), GaussianLaw.standard(1), substream(0)),
+            "n must be an integer, got 2.5",
+        ),
     ],
     ids=[
         "law-lengths", "empty-law", "conditional-n", "marginal-n", "calibration-beta",
         "calibration-rate", "calibration-precision", "emse-dims", "config-n",
         "calibration-precision-inf", "calibration-precision-nan",
         "config-float-seed", "config-negative-seed", "config-float-reps", "config-bool-reps", "config-float-n",
+        "float-threads", "bool-threads", "conditional-float-n", "marginal-float-n",
     ],
 )
 def test_malformed_arguments_rejected(call, message):
