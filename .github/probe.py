@@ -9,6 +9,7 @@ import json
 import os
 import resource
 import runpy
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -22,7 +23,7 @@ WORKLOADS = ("sweep_under", "sweep_over", "cli_files")
 # the sweeps' rate grids, as bench/run.py has them
 UNDER_RATES = (0.005, 0.01, 0.2, 0.5, 0.8, 1.0)
 OVER_RATES = (0.0, 3.48, 11.18, 53.6)
-FAULT_CALLS, FAULT_REPS = 10, 2
+FAULT_CALLS, FAULT_REPS, FAULT_RUNS = 10, 2, 3
 PASSES_SEED, PASSES_REPS = 41, 30
 CLI_ROWS = 200_000
 CLI_VARIANCE = ["variance", "--kind", "obc", "--beta", "1,-0.5,0.25", "--lambda", "10", "--alpha-t", "-5"]
@@ -136,21 +137,37 @@ def cli_memory(*trees):
 # sweep's estimators), one fresh process per sweep, tree and table.
 # `faults` reads minor page faults and seconds per replication over
 # FAULT_CALLS calls of FAULT_REPS, as bench/run.py makes them, after one
-# warm-up call.  `passes` counts, by wrappers, Newton kernel passes
-# (evaluate, with the log-likelihood, and derivatives, without it),
-# fit_estimator calls and design draws per replication of one call of
-# PASSES_REPS at PASSES_SEED, and the extra passes: evaluations -
-# iterations - 1 summed over the fit_estimator results, that is the
-# line-search halvings outside the pilot.
+# warm-up call.  One process's fault count can move several-fold from run
+# to run, so each tree runs FAULT_RUNS of them, in turn with the other
+# trees, and the table gives their median and range.  `passes` counts, by
+# wrappers, Newton kernel passes (evaluate, with the log-likelihood, and
+# derivatives, without it), fit_estimator calls and design draws per
+# replication of one call of PASSES_REPS at PASSES_SEED, and the extra
+# passes: evaluations - iterations - 1 summed over the fit_estimator
+# results, that is the line-search halvings outside the pilot.
 def sweeps(*trees):
     """The `faults` and `passes` tables of both sweeps."""
-    rows = {job: [[workload, name, *json.loads(run(root, __file__, "sweep", job, workload)[0])]
-                  for workload in WORKLOADS[:2] for name, root in present(trees)] for job in ("faults", "passes")}
-    table("Serial replications: minor page faults and seconds per replication",
-          ["workload", "tree", "minor faults/rep", "seconds/rep"], rows["faults"])
+    trees = present(trees)
+    faults = {(workload, name): [] for workload in WORKLOADS[:2] for name, _ in trees}
+    for workload in WORKLOADS[:2]:
+        for _ in range(FAULT_RUNS):
+            for name, root in trees:
+                faults[workload, name].append(json.loads(run(root, __file__, "sweep", "faults", workload)[0]))
+    rows = []
+    for (workload, name), runs in faults.items():
+        minor, seconds = zip(*runs)
+        rows.append([workload, name, spread(minor, ",.0f"), spread(seconds, ".4f")])
+    table(f"Serial replications: minor page faults and seconds per replication, median (min-max) of {FAULT_RUNS} runs",
+          ["workload", "tree", "minor faults/rep", "seconds/rep"], rows)
+    passes = [[workload, name, *json.loads(run(root, __file__, "sweep", "passes", workload)[0])]
+              for workload in WORKLOADS[:2] for name, root in trees]
     table("Serial replications: kernel passes, fits and design draws per replication",
-          ["workload", "tree", "evaluate", "derivatives", "fit_estimator", "realize_design", "extra passes"],
-          rows["passes"])
+          ["workload", "tree", "evaluate", "derivatives", "fit_estimator", "realize_design", "extra passes"], passes)
+
+
+def spread(values, spec):
+    """The median of values and their min-max range, each formatted by spec."""
+    return f"{statistics.median(values):{spec}} ({min(values):{spec}}-{max(values):{spec}})"
 
 
 def sweep(job, workload):
@@ -174,7 +191,7 @@ def sweep(job, workload):
             call(seed, FAULT_REPS)
         seconds, reps = time.perf_counter() - start, FAULT_CALLS * FAULT_REPS
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-        return print(json.dumps([f"{faults / reps:,.0f}", f"{seconds / reps:.4f}"]))
+        return print(json.dumps([faults / reps, seconds / reps]))
     names = ((model._Kernel, "evaluate"), (model._Kernel, "derivatives"),
              (simulation, "fit_estimator"), (simulation, "realize_design"))
     counts = Counter()

@@ -29,31 +29,28 @@ limit constants are c = exp(alpha_t)/pi0 and c_o = lambda_n * exp(alpha_t).
 Efficiency comparisons between these matrices are statements in the
 Loewner (positive-semidefinite) order.
 
-The pass reads the sample in row blocks of at most BLOCK_ROWS (16,384)
-rows, adds each block's sums of e and of the weighted z z', and divides
-by m once at the end, so its memory is one block's whatever m is.  The
-sample is an (m, d) array, read as views of its row slices, or a
-CovariateBlocks, such as law draws made block by block as the pass reads
-them.  A sample of at most one block gives the one-shot averages bit for
-bit; over more blocks the sums are grouped by block, which moves them
-only by rounding.
+The sample is an (m, d) array, or an iterator of row blocks, such as law
+draws made block by block as the pass reads them.  The pass reads an
+array in row blocks of at most BLOCK_ROWS (16,384) rows, adds each
+block's sums of e and of the weighted z z', counts the rows it reads and
+divides by that count m once at the end, so its memory is one block's
+whatever m is.  A sample of at most one block gives the one-shot
+averages bit for bit; over more blocks the sums are grouped by block,
+which moves them only by rounding.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Literal, NamedTuple, NoReturn
+from typing import Literal, NamedTuple, NoReturn
 
 import numpy as np
 
 from .estimators import EstimatorFamily
-from .model import BLOCK_ROWS, RareLogitError
+from .model import BLOCK_ROWS, RareLogitError, _check_constant
 from .sampling import DesignKind
-
-if TYPE_CHECKING:
-    from .simulation import GaussianLaw
 
 __all__ = [
     "SCALING_LABEL",
@@ -103,76 +100,51 @@ class VarianceReport:
     lam: float | None = None
 
 
-class CovariateBlocks(NamedTuple):
-    """A covariate sample of m rows in d columns, read once as consecutive row blocks.
+def _row_blocks(xs: np.ndarray) -> Iterator[np.ndarray]:
+    """An (m, d) sample, or m values of one covariate, in blocks of BLOCK_ROWS rows.
 
-    The plug-in pass holds one block at a time, so a sample drawn block by
-    block never exists whole in memory.  of() passes an in-memory sample as
-    its row slices in C order; drawn() makes law draws as the pass reads them.
+    A block is a view of a C-ordered sample and a C-ordered copy of any
+    other, such as Dataset.x: block @ beta rounds differently on the
+    other memory order for d >= 3.
     """
-
-    m: int
-    d: int
-    blocks: Iterable[np.ndarray]
-
-    @classmethod
-    def of(cls, xs: np.ndarray) -> CovariateBlocks:
-        """An (m, d) sample, or m values of one covariate, in blocks of BLOCK_ROWS rows.
-
-        A block is a view of a C-ordered sample and a C-ordered copy of any
-        other, such as Dataset.x: block @ beta rounds differently on the
-        other memory order for d >= 3.
-        """
-        xs = np.asarray(xs, dtype=np.float64)
-        if xs.ndim == 1:
-            xs = xs[:, None]
-        if xs.ndim != 2:
-            raise ValueError("covariate sample must be an (m, d) matrix")
-        m = xs.shape[0]
-        blocks = (np.ascontiguousarray(xs[lo : lo + BLOCK_ROWS]) for lo in range(0, m, BLOCK_ROWS))
-        return cls(m, xs.shape[1], blocks)
-
-    @classmethod
-    def drawn(cls, law: GaussianLaw, m: int, rng: np.random.Generator) -> CovariateBlocks:
-        """m draws from law, made by law.sample(rows, rng) one block at a time.
-
-        The blocks hold bit for bit the rows of one law.sample(m, rng) call.
-        """
-        sizes = (min(BLOCK_ROWS, m - lo) for lo in range(0, m, BLOCK_ROWS))
-        return cls(m, law.dim, (law.sample(rows, rng) for rows in sizes))
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim == 1:
+        xs = xs[:, None]
+    if xs.ndim != 2:
+        raise ValueError("covariate sample must be an (m, d) matrix")
+    return (np.ascontiguousarray(xs[lo : lo + BLOCK_ROWS]) for lo in range(0, xs.shape[0], BLOCK_ROWS))
 
 
 def _plug_in(
-    xs: np.ndarray | CovariateBlocks,
+    xs: np.ndarray | Iterator[np.ndarray],
     beta: np.ndarray,
     transforms: tuple[MomentTransform, ...],
     k: float,
 ) -> tuple[float, list[np.ndarray]]:
     """One checked pass over a covariate sample: E(e), and E(w(e, k) z z') per transform.
 
-    Each row block runs the exponent guard, e = exp(beta'x) and z = (1, x')',
-    and adds its sums of e and of (z w)' z to running totals, which are
-    divided by m once at the end; so memory grows with the block, not with
-    m.  A sample of one block gives the one-shot averages bit for bit.
-    E(e) or any moment whose integrand overflows raises OverflowError.
+    xs is the covariate sample: an (m, d) array, or an iterator of row
+    blocks, read once.  Each row block runs the exponent guard,
+    e = exp(beta'x) and z = (1, x')', and adds its sums of e and of
+    (z w)' z to running totals, which are divided by the count m of rows
+    read once at the end; so memory grows with the block, not with m.  A
+    sample of one block gives the one-shot averages bit for bit.  E(e) or
+    any moment whose integrand overflows raises OverflowError.
     """
-    sample = xs if isinstance(xs, CovariateBlocks) else CovariateBlocks.of(xs)
-    m, d = sample.m, sample.d
+    blocks = xs if isinstance(xs, Iterator) else _row_blocks(xs)
     beta = np.atleast_1d(np.asarray(beta, dtype=np.float64))
-    if beta.shape != (d,):
-        raise ValueError(f"beta has shape {beta.shape}, sample has d={d}")
-    if m < d + 1:
-        raise ValueError("need at least d + 1 sample rows")
+    d = beta.shape[0]
     # e > 0, so the e totals start at an exact 0; each moment total starts
     # at its first block's matrix, so one block adds nothing
     e_sum = e_max = np.float64(0.0)
     z = zw = None
     sums: list = [None] * len(transforms)
-    seen = 0
-    blocks = iter(sample.blocks)
+    m = 0
     # overflowing sums turn to inf with no warning and are checked once, after the pass
     with np.errstate(over="ignore", invalid="ignore"):
         for block in blocks:
+            if block.shape[1:] != beta.shape:
+                raise ValueError(f"beta has shape {beta.shape}, sample has d={block.shape[-1]}")
             expo = block @ beta
             # a nan exponent fails the guard too; only then are the inputs scanned
             if not np.max(np.abs(expo), initial=0.0) <= EXPONENT_GUARD:
@@ -190,9 +162,9 @@ def _plug_in(
                 np.multiply(zb, _INTEGRANDS[transform][0](e, k)[:, None], out=zwb)
                 gram = zwb.T @ zb
                 sums[i] = gram if sums[i] is None else sums[i] + gram
-            seen += rows
-        if seen != m:
-            raise ValueError(f"the sample's blocks hold {seen} rows, not m = {m}")
+            m += rows
+        if m < d + 1:
+            raise ValueError("need at least d + 1 sample rows")
         e_mean = float(e_sum / m)
         if not np.isfinite(e_mean):
             raise OverflowError("nonfinite integrand in the plug-in average")
@@ -241,15 +213,16 @@ def _gram(v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def moment_matrix(
-    xs: np.ndarray | CovariateBlocks,
+    xs: np.ndarray | Iterator[np.ndarray],
     beta: np.ndarray,
     transform: MomentTransform = "plain",
     constant: float = 0.0,
 ) -> tuple[np.ndarray, float]:
     """Plug-in moment matrix over xs, plus the average of exp(beta'x).
 
-    transform selects the integrand listed in the module docstring;
-    constant is its k.  Exponents beyond 700 in magnitude raise
+    xs is the covariate sample: an (m, d) array, or an iterator of row
+    blocks.  transform selects the integrand listed in the module
+    docstring; constant is its k.  Exponents beyond 700 in magnitude raise
     OverflowError, and so does an integrand that overflows, with no numpy
     warning.  For "over" and "over_sq" that includes 1 + k e (or its
     square) overflowing, which would turn their weights into zeros, not infs.
@@ -257,7 +230,7 @@ def moment_matrix(
     """
     if transform not in _INTEGRANDS:
         raise ValueError(f"unknown transform {transform!r}")
-    constant = _check_constant(constant, "constant")
+    constant = _check_constant("constant", constant)
     e_mean, (moment,) = _plug_in(xs, beta, (transform,), constant)
     return moment, e_mean
 
@@ -300,7 +273,7 @@ def required_constants(family: EstimatorFamily) -> tuple[str, ...]:
 
 def covariance(
     family: EstimatorFamily,
-    xs: np.ndarray | CovariateBlocks,
+    xs: np.ndarray | Iterator[np.ndarray],
     beta: np.ndarray,
     *,
     c: float | None = None,
@@ -309,17 +282,17 @@ def covariance(
 ) -> VarianceReport:
     """Asymptotic covariance of a family's estimator, by its table row.
 
-    xs is the covariate sample, an (m, d) array or a CovariateBlocks; one
-    pass over its row blocks gives E(e) and both moment matrices, so a
-    sample drawn block by block is never held whole.  Constants the family
-    does not use are ignored and not reported.
+    xs is the covariate sample: an (m, d) array, or an iterator of row
+    blocks.  One pass over its row blocks gives E(e) and both moment
+    matrices, so a sample drawn block by block is never held whole.
+    Constants the family does not use are ignored and not reported.
     """
     names = required_constants(family)
     given = {"c": c, "c_o": c_o, "lam": lam}
     missing = [name for name in names if given[name] is None]
     if missing:
         raise ValueError(f"{family.value} variance needs {missing[0]}")
-    used = {name: _check_constant(given[name], name) for name in names}
+    used = {name: _check_constant(name, given[name]) for name in names}
 
     row = _SANDWICHES[family]
     k = 0.0 if row.constant is None else used[row.constant]
@@ -356,7 +329,7 @@ def oversampling_variance_factor(lam: float) -> float:
 
     Equals 1 only at lam = 0 and tends back to 1 as lam grows.
     """
-    lam = _check_constant(lam, "lam")
+    lam = _check_constant("lam", lam)
     return ((1.0 + lam) ** 2 + lam) / (1.0 + lam) ** 2
 
 
@@ -370,15 +343,6 @@ def v_over_bc(
 ) -> VarianceReport:
     """Covariance of the over-sampled bias-corrected estimator (sandwich in c_o)."""
     return covariance(EstimatorFamily.OVER_BIAS_CORRECTED, xs, beta, c_o=c_o, lam=lam)
-
-
-def _check_constant(value: float, name: str) -> float:
-    value = float(value)
-    if not value >= 0.0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    if value == np.inf:
-        raise ValueError(f"{name} must be finite, got {value}")
-    return value
 
 
 def limit_constants(

@@ -22,13 +22,12 @@ import itertools
 import os
 import re
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
 from . import __version__
 from .asymptotics import (
-    CovariateBlocks,
-    _check_constant,
     covariance,
     limit_constants,
     oversampling_variance_factor,
@@ -40,7 +39,9 @@ from .estimators import (
     fit_estimator,
     realize_design,
 )
-from .model import BLOCK_ROWS, Coefficients, Dataset, RareLogitError, SolverSettings, _check_count, _lending
+from .model import (
+    BLOCK_ROWS, Coefficients, Dataset, RareLogitError, SolverSettings, _check_constant, _check_count, _lending
+)
 from .sampling import DesignKind, effective_sample_size, substream
 from .simulation import (
     ConditionalGaussianDesign,
@@ -217,7 +218,7 @@ def _check_rates_and_constants(args: argparse.Namespace) -> None:
             scheme.check_rate(getattr(args, dest))
     for name in ("c", "c_o"):
         if getattr(args, name) is not None:
-            _check_constant(getattr(args, name), name)
+            _check_constant(name, getattr(args, name))
 
 
 def _estimator_kind(args: argparse.Namespace) -> EstimatorKind:
@@ -262,7 +263,7 @@ def _covariance_constants(args: argparse.Namespace, family: EstimatorFamily) -> 
 
 
 def _covariance_rows(
-    family: EstimatorFamily, xs: np.ndarray | CovariateBlocks, beta: np.ndarray, constants: dict
+    family: EstimatorFamily, xs: np.ndarray | Iterator[np.ndarray], beta: np.ndarray, constants: dict
 ) -> list[list]:
     """The family's asymptotic covariance as table rows: its constants, then v_i_j."""
     report = covariance(family, xs, beta, **constants)
@@ -429,14 +430,16 @@ def _cmd_variance(args: argparse.Namespace) -> tuple[list[str], list[list]]:
     constants = _covariance_constants(args, family)
     # the law and --m are checked even when --xs makes them unused
     law = _law(args, beta.shape[0])
-    if args.m < 1:
-        raise ValueError(f"--m must be >= 1, got {args.m}")
+    _check_count("--m", args.m, 1)
     if args.xs is not None:
-        xs = CovariateBlocks.of(load_covariates(args.xs))
+        xs = load_covariates(args.xs)
+        m = xs.shape[0]
     else:
-        xs = CovariateBlocks.drawn(law, args.m, substream(args.seed))
+        # law.sample(m, rng) bit for bit, drawn one block at a time as the plug-in reads it
+        m, rng = args.m, substream(args.seed)
+        xs = (law.sample(min(BLOCK_ROWS, m - lo), rng) for lo in range(0, m, BLOCK_ROWS))
 
-    rows: list[list] = [["kind", family.value], ["m", xs.m]]
+    rows: list[list] = [["kind", family.value], ["m", m]]
     rows.extend(_covariance_rows(family, xs, beta, constants))
     return ["field", "value"], rows
 

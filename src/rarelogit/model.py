@@ -197,6 +197,16 @@ def _check_count(name: str, value: object, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
+def _check_constant(name: str, value: float) -> float:
+    """value as a float, or ValueError unless it is a finite real of at least 0."""
+    value = float(value)
+    if not value >= 0.0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    if value == np.inf:
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class SolverSettings:
     """Newton solver knobs shared by every estimator, checked once here.
@@ -526,6 +536,7 @@ def fit_mle(
         a Newton system that overflowed.
     """
     w, lo, hi = _check_weights(data, weights)
+    start = None if init is None else _check_theta(data, init)
     if lo == 0.0:
         # dropping zeros leaves the largest weight, the scale, as it is
         active = np.flatnonzero(w)
@@ -540,9 +551,9 @@ def fit_mle(
     if pilot is not None:
         theta, pilot_iterations = pilot
         return _newton(kernel, theta, settings, pilot_iterations)
-    if init is None:
-        return _newton(kernel, _log_odds_start(kernel.w, data.y, data.d), settings)
-    return _newton(kernel, _check_theta(data, init), settings)
+    if start is None:
+        start = _log_odds_start(kernel.w, data.y, data.d)
+    return _newton(kernel, start, settings)
 
 
 def _log_odds_start(w: np.ndarray, y: np.ndarray, d: int) -> np.ndarray:

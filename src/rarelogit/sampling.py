@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, _check_count
+from .model import Dataset, _check_constant, _check_count
 
 __all__ = [
     "DesignKind",
@@ -70,14 +70,11 @@ class DesignKind(enum.Enum):
 
         pi0 = 0 is rejected: an all-case subsample admits no MLE.
         """
+        if self is DesignKind.OVERSAMPLE:
+            return _check_constant("lambda_n", rate)
         rate = float(rate)
-        if self is DesignKind.UNDERSAMPLE:
-            if not 0.0 < rate <= 1.0:
-                raise ValueError(f"pi0 must be in (0, 1], got {rate}")
-        elif not rate >= 0.0:
-            raise ValueError(f"lambda_n must be >= 0, got {rate}")
-        elif rate == math.inf:
-            raise ValueError(f"lambda_n must be finite, got {rate}")
+        if not 0.0 < rate <= 1.0:
+            raise ValueError(f"pi0 must be in (0, 1], got {rate}")
         return rate
 
     @property

@@ -23,7 +23,6 @@ from rarelogit import (
     v_under_weighted,
 )
 
-from rarelogit.asymptotics import CovariateBlocks
 from rarelogit.model import BLOCK_ROWS
 
 from _oracles import gauss_moment_matrix, plug_in_direct, sandwich_direct
@@ -225,21 +224,17 @@ def law_sample(m, d, seed=41):
     return law.sample(m, substream(seed)), np.array(BETA_3[:d])
 
 
+def law_blocks(law, m, rng):
+    """m draws from law, made block by block as `variance` makes them without --xs."""
+    return (law.sample(min(BLOCK_ROWS, m - lo), rng) for lo in range(0, m, BLOCK_ROWS))
+
+
 def assert_close_normwise(got, want, rtol):
     assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
 
 class TestRowBlocks:
     """The plug-in reads its sample in blocks of at most BLOCK_ROWS rows."""
-
-    @pytest.mark.parametrize("m", [1, BLOCK_ROWS, BLOCK_ROWS + 1, 5 * BLOCK_ROWS // 2])
-    def test_law_blocks_are_one_draw(self, m):
-        law = GaussianLaw(means=(1.5, -2.0, 0.25), sds=(0.3, 2.5, 1.0))
-        sample = CovariateBlocks.drawn(law, m, substream(17))
-        blocks = list(sample.blocks)
-        assert (sample.m, sample.d) == (m, 3)
-        assert [b.shape[0] for b in blocks] == [min(BLOCK_ROWS, m - lo) for lo in range(0, m, BLOCK_ROWS)]
-        assert_array_equal(np.concatenate(blocks), law.sample(m, substream(17)))
 
     @pytest.mark.parametrize("m", [60, BLOCK_ROWS])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -273,7 +268,7 @@ class TestRowBlocks:
         m = 5 * BLOCK_ROWS // 2
         xs, beta = law_sample(m, 3)
         for family, (constants, _) in FAMILIES.items():
-            streamed = covariance(family, CovariateBlocks.drawn(LAW_3, m, substream(41)), beta, **constants)
+            streamed = covariance(family, law_blocks(LAW_3, m, substream(41)), beta, **constants)
             assert_array_equal(streamed.v, covariance(family, xs, beta, **constants).v)
 
     @pytest.mark.parametrize(
@@ -297,10 +292,18 @@ class TestRowBlocks:
                 with pytest.raises(error, match=message):
                     compute()
 
-    def test_blocks_must_hold_m_rows(self):
-        sample = CovariateBlocks(5, 1, [np.zeros((3, 1))])
-        with pytest.raises(ValueError, match="the sample's blocks hold 3 rows, not m = 5"):
-            v_full(sample, BETA)
+    @pytest.mark.parametrize("rows", [[], [2], [1, 1]], ids=["empty", "one-block", "two-blocks"])
+    def test_an_iterator_of_fewer_than_d_plus_one_rows_is_rejected(self, rows):
+        # d = 2 needs 3 rows; the pass counts the rows it reads
+        blocks = iter([np.ones((r, 2)) for r in rows])
+        with pytest.raises(ValueError, match=r"need at least d \+ 1 sample rows"):
+            moment_matrix(blocks, [1.0, 0.5])
+
+    def test_a_block_of_the_wrong_width_is_rejected(self):
+        xs, beta = law_sample(BLOCK_ROWS + 5, 2)
+        blocks = iter([xs[:BLOCK_ROWS], xs[BLOCK_ROWS:, :1]])
+        with pytest.raises(ValueError, match=r"beta has shape \(2,\), sample has d=1"):
+            v_full(blocks, beta)
 
 
 class TestVarianceMatrices:

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_array_equal
 
-from rarelogit import Dataset, cli, substream
+from rarelogit import Dataset, EstimatorFamily, GaussianLaw, cli, covariance, substream
 from rarelogit.cli import load_covariates, load_dataset, main, save_dataset
 from rarelogit.model import BLOCK_ROWS
 
@@ -794,6 +794,22 @@ class TestVarianceCommand:
         monkeypatch.setattr(cli, "substream", no_draws)
         argv = ["variance", "--kind", "full", "--beta", 1, "--m", 50, "--law-sd", "1e308"]
         assert run_cli(argv + ["--out", tmp_path / "v.csv"]) == 2
+
+    @pytest.mark.parametrize("m", [BLOCK_ROWS, BLOCK_ROWS + 1, 5 * BLOCK_ROWS // 2])
+    def test_law_draws_are_one_draw_of_m_rows(self, tmp_path, m):
+        # the law's blocks hold bit for bit the rows of one law.sample(m, rng) call
+        law = GaussianLaw(means=(1.5, -2.0, 0.25), sds=(0.3, 2.5, 1.0))
+        beta = np.array([0.6, -0.4, 0.3])
+        out = tmp_path / "v.csv"
+        code = run_cli([
+            "variance", "--kind", "obc", "--beta", "0.6,-0.4,0.3", "--lambda", 2, "--c-o", 0.9,
+            "--law-mean", "1.5,-2,0.25", "--law-sd", "0.3,2.5,1", "--m", m, "--seed", 17, "--out", out,
+        ])
+        assert code == 0
+        got = fields(out)
+        want = covariance(EstimatorFamily.OVER_BIAS_CORRECTED, law.sample(m, substream(17)), beta, lam=2.0, c_o=0.9)
+        assert int(got["m"]) == m
+        assert [float(got[f"v_{i + 1}_{j + 1}"]) for i in range(4) for j in range(4)] == want.v.ravel().tolist()
 
     def test_law_draws_are_held_one_block_at_a_time(self, tmp_path):
         # the whole 1e6 x 3 draw alone would be 24 MB

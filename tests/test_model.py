@@ -755,6 +755,14 @@ def test_a_failed_fit_in_a_block_leaves_the_next_fit_unchanged(error, x, rows, i
         assert converged_fingerprint(fit_mle(data, np.ones(8))) == expected
 
 
+def test_a_malformed_start_raises_before_a_kernel_takes_the_buffer():
+    data = rare_data(20_000, 1)
+    with model._lending():
+        with pytest.raises(ValueError, match="beta has length 2, dataset has d=1"):
+            fit_mle(data, np.ones(data.n), init=Coefficients(0.0, [1.0, 2.0]))
+        assert model._lent.buf.size == 0
+
+
 def test_subset_longer_than_its_parent_and_the_parent_after_it_fit_exactly():
     data = rare_data(300, 2)
     rows = np.r_[np.arange(300), np.arange(0, 300, 2)]

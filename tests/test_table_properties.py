@@ -4,7 +4,9 @@ Each estimator is one weighted MLE plus an exact intercept shift, and each
 covariance is one sandwich; these properties pin both tables on random
 problems and designs.  A design holds only the rows it selects or its
 counts, and a fit gathers those rows from the dataset's z' = [1; x']; the
-last properties pin that compact form against the full-length indicators.
+compact-design properties pin that form against the full-length indicators.
+The last properties are the paper's Loewner orderings of the covariances,
+and their orders of contact at a zero constant, on random covariate laws.
 """
 
 import math
@@ -28,6 +30,7 @@ from rarelogit import (
     fit_estimator,
     fit_mle,
     full_mle,
+    loewner_ge,
     moment_matrix,
     oversample,
     oversampling_variance_factor,
@@ -251,3 +254,105 @@ class TestCovarianceTable:
         bread_inv = np.linalg.inv(bread)
         expected = f * e_mean * bread_inv @ meat @ bread_inv
         assert_allclose(covariance(family, xs, beta, **constants).v, expected, rtol=1e-9)
+
+
+# The orderings follow from the weighted-moment inequality, which holds under
+# any probability measure, so they hold on every plug-in sample up to
+# rounding; each is checked at loewner_ge's default tolerance.  The orders of
+# contact at k = 0 hold as Loewner bounds too.  Write P = plain = E(e z z'),
+# Q = E(e^2 z z'), O = over(k) and t = k e_max / (1 + k e_max) for the
+# sample's largest e, so that every row's k e / (1 + k e) lies in [0, t]:
+#   under: O^-1 >= P^-1 (2 P - O) P^-1, and P - O >= (1 - t) c Q, so
+#          V_ubc(c) >= (1 - t) V_uw(c) + t V_full: V_uw - V_ubc = O(c^2);
+#   over:  with u = k e / (1 + k e), O^-1 over_sq O^-1 - P^-1 is
+#          O^-1 (E(u^2 e z z') - U P^-1 U) O^-1 for U = E(u e z z'), and
+#          O >= (1 - t) P, so V_obc <= (1 + (c_o e_max)^2) V_ow.
+laws = st.sampled_from(["gaussian", "t3", "uniform"])
+covariate_dims = st.integers(1, 4)
+sample_sizes = st.integers(50, 2_000)
+constant_values = st.floats(0.0, 10.0)
+rises = st.floats(0.01, 3.0)
+# log10 of k e_max: a small value makes the contact bounds tight
+contacts = st.floats(-4.0, 1.0)
+# A sandwich rounds to about eps cond(P)^2 of its size, for the condition
+# of P = plain.  Below this bound that is at most 6e-9, under loewner_ge's
+# 1e-8; it turns away about 1 t(3) sample in 3 and no other.
+CONDITION_BOUND = 5e3
+
+
+def covariate_sample(seed, law, m, d):
+    """m rows of a law with random means and scales, and random slopes beta."""
+    rng = np.random.default_rng(seed)
+    if law == "gaussian":
+        draws = rng.standard_normal((m, d))
+    elif law == "t3":
+        draws = rng.standard_t(3, (m, d))
+    else:
+        draws = rng.uniform(-1.0, 1.0, (m, d))
+    xs = rng.uniform(-1.0, 1.0, d) + rng.uniform(0.2, 1.5, d) * draws
+    beta = rng.uniform(-1.0, 1.0, d)
+    assume(np.linalg.cond(moment_matrix(xs, beta)[0]) <= CONDITION_BOUND)
+    return xs, beta
+
+
+def loewner_eq(a, b):
+    return loewner_ge(a, b) and loewner_ge(b, a)
+
+
+def v(family, xs, beta, **constants):
+    return covariance(family, xs, beta, **constants).v
+
+
+class TestCovarianceOrderings:
+    @PROPERTY
+    @given(seed=seeds, law=laws, m=sample_sizes, d=covariate_dims, c=constant_values, rise=rises)
+    def test_under_sampling_orderings(self, seed, law, m, d, c, rise):
+        xs, beta = covariate_sample(seed, law, m, d)
+        full = v(F.FULL, xs, beta)
+        uw, ubc = (v(family, xs, beta, c=c) for family in UNDER)
+        assert loewner_ge(uw, ubc) and loewner_ge(ubc, full)
+        # both rise with c
+        assert loewner_ge(v(F.UNDER_WEIGHTED, xs, beta, c=c * (1.0 + rise) + rise), uw)
+        assert loewner_ge(v(F.UNDER_BIAS_CORRECTED, xs, beta, c=c * (1.0 + rise) + rise), ubc)
+
+    @PROPERTY
+    @given(seed=seeds, law=laws, m=sample_sizes, d=covariate_dims, lam=constant_values, c_o=constant_values, rise=rises)
+    def test_over_sampling_orderings(self, seed, law, m, d, lam, c_o, rise):
+        xs, beta = covariate_sample(seed, law, m, d)
+        full = v(F.FULL, xs, beta)
+        ow = v(F.OVER_WEIGHTED, xs, beta, lam=lam)
+        obc = v(F.OVER_BIAS_CORRECTED, xs, beta, lam=lam, c_o=c_o)
+        # the replication inflation 1 + lam / (1 + lam)^2, written out apart from the package
+        assert loewner_eq(ow, (1.0 + lam / (1.0 + lam) ** 2) * full)
+        assert loewner_ge(obc, ow) and loewner_ge(ow, full)
+        # V_obc rises with c_o; at a fixed c_o it peaks in lam at 1, so it does not rise with lam
+        higher = v(F.OVER_BIAS_CORRECTED, xs, beta, lam=lam, c_o=c_o * (1.0 + rise) + rise)
+        assert loewner_ge(higher, obc)
+
+    @PROPERTY
+    @given(seed=seeds, law=laws, m=sample_sizes, d=covariate_dims, c=constant_values)
+    def test_under_weighted_is_affine_in_c(self, seed, law, m, d, c):
+        # V_uw(c) = (1 - c) V_full + c V_uw(1), each side with nonnegative weights
+        xs, beta = covariate_sample(seed, law, m, d)
+        full = v(F.FULL, xs, beta)
+        one = v(F.UNDER_WEIGHTED, xs, beta, c=1.0)
+        assert loewner_eq(v(F.UNDER_WEIGHTED, xs, beta, c=c) + c * full, full + c * one)
+
+    @PROPERTY
+    @given(seed=seeds, law=laws, m=sample_sizes, d=covariate_dims, contact=contacts)
+    def test_under_weighted_and_bias_corrected_touch_to_second_order(self, seed, law, m, d, contact):
+        xs, beta = covariate_sample(seed, law, m, d)
+        c = 10.0**contact / np.max(np.exp(xs @ beta))
+        t = 10.0**contact / (1.0 + 10.0**contact)
+        full = v(F.FULL, xs, beta)
+        uw, ubc = (v(family, xs, beta, c=c) for family in UNDER)
+        assert loewner_ge(ubc, (1.0 - t) * uw + t * full)
+
+    @PROPERTY
+    @given(seed=seeds, law=laws, m=sample_sizes, d=covariate_dims, lam=constant_values, contact=contacts)
+    def test_over_weighted_and_bias_corrected_touch_to_second_order(self, seed, law, m, d, lam, contact):
+        xs, beta = covariate_sample(seed, law, m, d)
+        c_o = 10.0**contact / np.max(np.exp(xs @ beta))
+        ow = v(F.OVER_WEIGHTED, xs, beta, lam=lam)
+        obc = v(F.OVER_BIAS_CORRECTED, xs, beta, lam=lam, c_o=c_o)
+        assert loewner_ge((1.0 + 100.0**contact) * ow, obc)
